@@ -29,19 +29,27 @@ use crate::Mode;
 /// Devices own a fixed address window; reads and writes arrive with the
 /// offset from the window base. Device register semantics (FIFO pops,
 /// status flags, side effects) live in the `opec-devices` crate.
+///
+/// Device time is lazy: nothing advances a device between accesses.
+/// Every access and every interrupt poll instead passes `now`, the
+/// device-local time in cycles since the device was attached (see
+/// [`Machine::add_device`]). A device that schedules something (a byte
+/// arriving, a busy period ending) records the deadline in local time
+/// and compares it against `now` when asked.
 pub trait MmioDevice {
     /// Stable device name (used for peripheral address maps and traces).
     fn name(&self) -> &str;
     /// The address window the device occupies.
     fn region(&self) -> MemRegion;
-    /// Reads `len` (1, 2 or 4) bytes at `offset` from the window base.
-    fn read(&mut self, offset: u32, len: u32) -> u32;
-    /// Writes `len` bytes of `value` at `offset` from the window base.
-    fn write(&mut self, offset: u32, len: u32, value: u32);
-    /// Advances device-internal time (DMA progress, baud timing, ...).
-    fn tick(&mut self, _cycles: u64) {}
-    /// Returns `true` if the device is asserting its interrupt line.
-    fn irq_pending(&self) -> bool {
+    /// Reads `len` (1, 2 or 4) bytes at `offset` from the window base
+    /// at device-local time `now`.
+    fn read(&mut self, offset: u32, len: u32, now: u64) -> u32;
+    /// Writes `len` bytes of `value` at `offset` from the window base
+    /// at device-local time `now`.
+    fn write(&mut self, offset: u32, len: u32, value: u32, now: u64);
+    /// Returns `true` if the device is asserting its interrupt line at
+    /// device-local time `now`.
+    fn irq_pending(&self, _now: u64) -> bool {
         false
     }
     /// Downcasting hook so hosts (test harnesses, workload drivers) can
@@ -109,7 +117,8 @@ const SNAP_PAGE: usize = 256;
 
 /// A full machine checkpoint taken by [`Machine::snapshot`].
 ///
-/// Holds golden copies of Flash, SRAM, devices, MPU, clock and counters.
+/// Holds golden copies of Flash, SRAM, devices (with the device clock
+/// and attach epochs), MPU, clock and counters.
 /// [`Machine::restore`] copies back only the pages dirtied since the
 /// snapshot was taken (tracked by a write barrier in the store path), so
 /// a restore after a short run costs microseconds, not a full memcpy of
@@ -125,6 +134,8 @@ pub struct MachineSnapshot {
     flash: Vec<u8>,
     sram: Vec<u8>,
     devices: Vec<Box<dyn MmioDevice>>,
+    dev_now: u64,
+    dev_epochs: Vec<u64>,
 }
 
 /// The divergence of a machine from the golden snapshot its dirty
@@ -149,6 +160,8 @@ pub struct MachineDelta {
     /// `(byte offset, page contents)` for each dirty SRAM page.
     sram_pages: Vec<(usize, Vec<u8>)>,
     devices: Vec<Box<dyn MmioDevice>>,
+    dev_now: u64,
+    dev_epochs: Vec<u64>,
 }
 
 impl MachineDelta {
@@ -179,6 +192,13 @@ pub struct Machine {
     /// Access counters.
     pub stats: MachineStats,
     devices: Vec<Box<dyn MmioDevice>>,
+    /// Device clock: the cycles charged through [`Machine::charge`]
+    /// (or [`Machine::tick_devices`]). Unlike [`Machine::clock`] it
+    /// excludes cycles the monitor and ACES runtime charge directly.
+    dev_now: u64,
+    /// `dev_now` at each device's attach, parallel to `devices`; a
+    /// device's local time is `dev_now - epoch`.
+    dev_epochs: Vec<u64>,
     /// Backing store for PPB registers without dedicated models.
     ppb_regs: HashMap<u32, u32>,
     /// Dirty-page bitmaps relative to snapshot `snap_id`. Empty until a
@@ -210,6 +230,8 @@ impl Machine {
             current_pc: board.flash.base,
             stats: MachineStats::default(),
             devices: Vec::new(),
+            dev_now: 0,
+            dev_epochs: Vec::new(),
             ppb_regs: HashMap::new(),
             flash_dirty: Vec::new(),
             sram_dirty: Vec::new(),
@@ -296,6 +318,8 @@ impl Machine {
             flash: self.flash.clone(),
             sram: self.sram.clone(),
             devices,
+            dev_now: self.dev_now,
+            dev_epochs: self.dev_epochs.clone(),
         })
     }
 
@@ -324,6 +348,8 @@ impl Machine {
         }
         self.ppb_regs.clone_from(&snap.ppb_regs);
         self.restore_devices(&snap.devices, "snapshotted");
+        self.dev_now = snap.dev_now;
+        self.dev_epochs.clone_from(&snap.dev_epochs);
     }
 
     /// Restores device state from `src` — in place when every device
@@ -413,6 +439,8 @@ impl Machine {
             flash_pages: Self::dirty_pages(&self.flash, &self.flash_dirty),
             sram_pages: Self::dirty_pages(&self.sram, &self.sram_dirty),
             devices,
+            dev_now: self.dev_now,
+            dev_epochs: self.dev_epochs.clone(),
         })
     }
 
@@ -445,11 +473,15 @@ impl Machine {
         }
         self.ppb_regs.clone_from(&d.ppb_regs);
         self.restore_devices(&d.devices, "parked");
+        self.dev_now = d.dev_now;
+        self.dev_epochs.clone_from(&d.dev_epochs);
         Ok(())
     }
 
     /// Registers a memory-mapped device. Returns an error if its window
-    /// overlaps an already registered device.
+    /// overlaps an already registered device. The device's local time
+    /// starts at zero here: its attach epoch is the current device
+    /// clock.
     pub fn add_device(&mut self, dev: Box<dyn MmioDevice>) -> Result<(), String> {
         let region = dev.region();
         for existing in &self.devices {
@@ -463,6 +495,7 @@ impl Machine {
             }
         }
         self.devices.push(dev);
+        self.dev_epochs.push(self.dev_now);
         Ok(())
     }
 
@@ -479,19 +512,39 @@ impl Machine {
             .and_then(|d| d.as_any_mut().downcast_mut::<T>())
     }
 
-    /// Advances all devices by `cycles`. On the interpreter's per-ALU-op
-    /// hot path — inline so the no-device case folds to a loop over an
-    /// empty slice.
+    /// Charges `cycles` of instruction execution: advances both the
+    /// cycle clock and the device clock. The interpreter's one charge
+    /// path; the monitor and ACES runtime tick [`Machine::clock`]
+    /// alone, so their work never advances device time.
     #[inline]
-    pub fn tick_devices(&mut self, cycles: u64) {
-        for d in &mut self.devices {
-            d.tick(cycles);
-        }
+    pub fn charge(&mut self, cycles: u64) {
+        self.clock.tick(cycles);
+        self.tick_devices(cycles);
     }
 
-    /// Returns the names of devices currently asserting interrupts.
-    pub fn pending_irqs(&self) -> Vec<&str> {
-        self.devices.iter().filter(|d| d.irq_pending()).map(|d| d.name()).collect()
+    /// Advances device time by `cycles`. O(1): devices see the new
+    /// time lazily, on their next access or interrupt poll.
+    #[inline]
+    pub fn tick_devices(&mut self, cycles: u64) {
+        self.dev_now = self.dev_now.saturating_add(cycles);
+    }
+
+    /// The device clock: cycles charged through [`Machine::charge`] and
+    /// [`Machine::tick_devices`] since reset.
+    pub fn device_clock(&self) -> u64 {
+        self.dev_now
+    }
+
+    /// Scans the devices in registration order and returns the first
+    /// `Some` that `f` yields for the name of a device asserting its
+    /// interrupt line. Allocation-free: the interpreter polls this
+    /// every few instructions.
+    pub fn first_pending_irq<T>(&self, mut f: impl FnMut(&str) -> Option<T>) -> Option<T> {
+        self.devices
+            .iter()
+            .zip(&self.dev_epochs)
+            .filter(|(d, &epoch)| d.irq_pending(self.dev_now - epoch))
+            .find_map(|(d, _)| f(d.name()))
     }
 
     fn fault(
@@ -596,11 +649,11 @@ impl Machine {
             let off = (addr - self.board.sram.base) as usize;
             return Some(read_le(&self.sram, off, len));
         }
-        for d in &mut self.devices {
+        for (d, &epoch) in self.devices.iter_mut().zip(&self.dev_epochs) {
             let r = d.region();
             if r.contains_range(addr, len) {
                 self.stats.mmio_accesses += 1;
-                return Some(d.read(addr - r.base, len));
+                return Some(d.read(addr - r.base, len, self.dev_now - epoch));
             }
         }
         None
@@ -615,11 +668,11 @@ impl Machine {
             write_le(&mut self.sram, off, len, value);
             return true;
         }
-        for d in &mut self.devices {
+        for (d, &epoch) in self.devices.iter_mut().zip(&self.dev_epochs) {
             let r = d.region();
             if r.contains_range(addr, len) {
                 self.stats.mmio_accesses += 1;
-                d.write(addr - r.base, len, value);
+                d.write(addr - r.base, len, value, self.dev_now - epoch);
                 return true;
             }
         }
@@ -830,11 +883,11 @@ mod tests {
             fn region(&self) -> MemRegion {
                 self.region
             }
-            fn read(&mut self, offset: u32, _len: u32) -> u32 {
+            fn read(&mut self, offset: u32, _len: u32, _now: u64) -> u32 {
                 assert_eq!(offset, 4);
                 self.value
             }
-            fn write(&mut self, offset: u32, _len: u32, value: u32) {
+            fn write(&mut self, offset: u32, _len: u32, value: u32, _now: u64) {
                 assert_eq!(offset, 4);
                 self.value = value;
             }
@@ -851,6 +904,108 @@ mod tests {
             .add_device(Box::new(Reg { region: MemRegion::new(0x4000_0200, 0x400), value: 0 }))
             .unwrap_err();
         assert!(err.contains("overlaps"));
+    }
+
+    /// Records the device-local time of its last access.
+    #[derive(Clone)]
+    struct Stamp {
+        base: u32,
+        last: u64,
+    }
+    impl MmioDevice for Stamp {
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+        fn clone_box(&self) -> Option<Box<dyn MmioDevice>> {
+            Some(Box::new(self.clone()))
+        }
+        fn as_any(&self) -> Option<&dyn std::any::Any> {
+            Some(self)
+        }
+        fn copy_state_from(&mut self, src: &dyn MmioDevice) -> bool {
+            copy_device_state(self, src)
+        }
+        fn name(&self) -> &str {
+            "stamp"
+        }
+        fn region(&self) -> MemRegion {
+            MemRegion::new(self.base, 0x400)
+        }
+        fn read(&mut self, _offset: u32, _len: u32, now: u64) -> u32 {
+            self.last = now;
+            now as u32
+        }
+        fn write(&mut self, _offset: u32, _len: u32, _value: u32, now: u64) {
+            self.last = now;
+        }
+        fn irq_pending(&self, now: u64) -> bool {
+            now >= 100
+        }
+    }
+
+    fn stamp(base: u32) -> Box<Stamp> {
+        Box::new(Stamp { base, last: 0 })
+    }
+
+    #[test]
+    fn device_time_starts_at_attach() {
+        let mut m = machine();
+        m.add_device(stamp(0x4000_0000)).unwrap();
+        m.charge(1_000);
+        m.add_device(stamp(0x4000_0400)).unwrap();
+        m.charge(50);
+        assert_eq!(m.load(0x4000_0000, 4, Mode::Privileged).unwrap(), 1_050);
+        assert_eq!(m.load(0x4000_0400, 4, Mode::Privileged).unwrap(), 50);
+        m.store(0x4000_0400, 4, 0, Mode::Privileged).unwrap();
+        assert_eq!(m.device_as::<Stamp>("stamp").unwrap().last, 1_050);
+    }
+
+    #[test]
+    fn only_charged_cycles_advance_device_time() {
+        let mut m = machine();
+        m.add_device(stamp(0x4000_0000)).unwrap();
+        m.charge(30);
+        // The monitor and ACES charge the cycle clock directly.
+        m.clock.tick(500);
+        m.tick_devices(7);
+        assert_eq!(m.clock.now(), 530);
+        assert_eq!(m.device_clock(), 37);
+        assert_eq!(m.load(0x4000_0000, 4, Mode::Privileged).unwrap(), 37);
+    }
+
+    #[test]
+    fn irq_poll_sees_device_local_time() {
+        let mut m = machine();
+        m.add_device(stamp(0x4000_0000)).unwrap();
+        let pending = |m: &Machine| m.first_pending_irq(|name| Some(name.to_string()));
+        m.charge(99);
+        assert_eq!(pending(&m), None);
+        m.charge(1);
+        assert_eq!(pending(&m).as_deref(), Some("stamp"));
+        // `f` filters: a device without a handler is skipped.
+        assert_eq!(m.first_pending_irq(|_| None::<()>), None);
+    }
+
+    #[test]
+    fn snapshot_and_delta_carry_device_time() {
+        let mut m = machine();
+        m.charge(10);
+        m.add_device(stamp(0x4000_0000)).unwrap();
+        m.charge(5);
+        let golden = m.snapshot().unwrap();
+        m.charge(20);
+        let parked = m.delta().unwrap();
+        m.restore(&golden);
+        assert_eq!(m.device_clock(), 15);
+        assert_eq!(m.load(0x4000_0000, 4, Mode::Privileged).unwrap(), 5);
+        m.apply_delta(&parked).unwrap();
+        assert_eq!(m.device_clock(), 35);
+        assert_eq!(m.load(0x4000_0000, 4, Mode::Privileged).unwrap(), 25);
+        // A restore that must re-clone the device list brings the
+        // attach epochs back with it.
+        let mut other = machine();
+        other.restore(&golden);
+        assert_eq!(other.load(0x4000_0000, 4, Mode::Privileged).unwrap(), 5);
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub struct Dcmi {
     cursor: u32,
     capture_count: u32,
     capture_delay: u64,
-    elapsed: u64,
+    /// Device-local time the current capture's frame becomes ready.
     ready_at: u64,
 }
 
@@ -37,7 +37,6 @@ impl Dcmi {
             cursor: 0,
             capture_count: 0,
             capture_delay: 0,
-            elapsed: 0,
             ready_at: 0,
         }
     }
@@ -81,11 +80,11 @@ impl MmioDevice for Dcmi {
         MemRegion::new(self.base, 0x400)
     }
 
-    fn read(&mut self, offset: u32, _len: u32) -> u32 {
+    fn read(&mut self, offset: u32, _len: u32, now: u64) -> u32 {
         match offset {
-            0x04 => u32::from(self.ready && self.elapsed >= self.ready_at),
+            0x04 => u32::from(self.ready && now >= self.ready_at),
             0x08 => {
-                if !self.ready || self.elapsed < self.ready_at {
+                if !self.ready || now < self.ready_at {
                     return 0;
                 }
                 let v = Dcmi::expected_word(self.capture_count, self.cursor);
@@ -100,17 +99,13 @@ impl MmioDevice for Dcmi {
         }
     }
 
-    fn write(&mut self, offset: u32, _len: u32, value: u32) {
+    fn write(&mut self, offset: u32, _len: u32, value: u32, now: u64) {
         if offset == 0x00 && value == 1 {
             self.capture_count += 1;
             self.ready = true;
             self.cursor = 0;
-            self.ready_at = self.elapsed + self.capture_delay;
+            self.ready_at = now + self.capture_delay;
         }
-    }
-
-    fn tick(&mut self, cycles: u64) {
-        self.elapsed += cycles;
     }
 }
 
@@ -121,48 +116,47 @@ mod tests {
     #[test]
     fn capture_produces_deterministic_frame() {
         let mut cam = Dcmi::new(0x5005_0000, 16);
-        assert_eq!(cam.read(0x04, 4), 0);
-        cam.write(0x00, 4, 1);
-        assert_eq!(cam.read(0x04, 4), 1);
+        assert_eq!(cam.read(0x04, 4, 0), 0);
+        cam.write(0x00, 4, 1, 0);
+        assert_eq!(cam.read(0x04, 4, 0), 1);
         for off in (0..16).step_by(4) {
-            assert_eq!(cam.read(0x08, 4), Dcmi::expected_word(1, off));
+            assert_eq!(cam.read(0x08, 4, 0), Dcmi::expected_word(1, off));
         }
         // Frame drained.
-        assert_eq!(cam.read(0x04, 4), 0);
+        assert_eq!(cam.read(0x04, 4, 0), 0);
         assert_eq!(cam.captures(), 1);
     }
 
     #[test]
     fn second_capture_differs() {
         let mut cam = Dcmi::new(0x5005_0000, 8);
-        cam.write(0x00, 4, 1);
-        let a = cam.read(0x08, 4);
-        let _ = cam.read(0x08, 4);
-        cam.write(0x00, 4, 1);
-        let b = cam.read(0x08, 4);
+        cam.write(0x00, 4, 1, 0);
+        let a = cam.read(0x08, 4, 0);
+        let _ = cam.read(0x08, 4, 0);
+        cam.write(0x00, 4, 1, 0);
+        let b = cam.read(0x08, 4, 0);
         assert_ne!(a, b);
     }
 
     #[test]
     fn data_without_capture_is_zero() {
         let mut cam = Dcmi::new(0x5005_0000, 8);
-        assert_eq!(cam.read(0x08, 4), 0);
+        assert_eq!(cam.read(0x08, 4, 0), 0);
     }
 
     #[test]
     fn capture_delay_models_exposure() {
         let mut cam = Dcmi::new(0x5005_0000, 8).with_capture_delay(1000);
-        cam.write(0x00, 4, 1);
-        assert_eq!(cam.read(0x04, 4), 0, "not ready during exposure");
-        assert_eq!(cam.read(0x08, 4), 0);
-        cam.tick(1000);
-        assert_eq!(cam.read(0x04, 4), 1);
-        assert_eq!(cam.read(0x08, 4), Dcmi::expected_word(1, 0));
+        cam.write(0x00, 4, 1, 500);
+        assert_eq!(cam.read(0x04, 4, 500), 0, "not ready during exposure");
+        assert_eq!(cam.read(0x08, 4, 1499), 0);
+        assert_eq!(cam.read(0x04, 4, 1500), 1);
+        assert_eq!(cam.read(0x08, 4, 1500), Dcmi::expected_word(1, 0));
     }
 
     #[test]
     fn size_register_reports_frame_bytes() {
         let mut cam = Dcmi::new(0x5005_0000, 13);
-        assert_eq!(cam.read(0x0C, 4), 16); // rounded to a word
+        assert_eq!(cam.read(0x0C, 4, 0), 16); // rounded to a word
     }
 }

@@ -6,7 +6,7 @@
 //! | 0x04   | `X`      | cursor column |
 //! | 0x08   | `Y`      | cursor row |
 //! | 0x0C   | `PIXEL`  | write paints at (X, Y) and advances X |
-//! | 0x10   | `STATUS` | bit0 vsync (toggles every [`Lcd::VSYNC_CYCLES`]) |
+//! | 0x10   | `STATUS` | bit0 vsync (toggles every [`Lcd::VSYNC_CYCLES`] of device-local time) |
 //! | 0x14   | `BRIGHT` | backlight brightness (fade effects write this) |
 //!
 //! The framebuffer is host-visible so tests can assert on rendered
@@ -28,7 +28,6 @@ pub struct Lcd {
     y: u32,
     ctrl: u32,
     bright: u32,
-    cycles: u64,
     /// Total pixels painted since reset.
     pub pixels_written: u64,
 }
@@ -48,7 +47,6 @@ impl Lcd {
             y: 0,
             ctrl: 0,
             bright: 0,
-            cycles: 0,
             pixels_written: 0,
         }
     }
@@ -89,18 +87,18 @@ impl MmioDevice for Lcd {
         MemRegion::new(self.base, 0x400)
     }
 
-    fn read(&mut self, offset: u32, _len: u32) -> u32 {
+    fn read(&mut self, offset: u32, _len: u32, now: u64) -> u32 {
         match offset {
             0x00 => self.ctrl,
             0x04 => self.x,
             0x08 => self.y,
-            0x10 => u32::from((self.cycles / Lcd::VSYNC_CYCLES).is_multiple_of(2)),
+            0x10 => u32::from((now / Lcd::VSYNC_CYCLES).is_multiple_of(2)),
             0x14 => self.bright,
             _ => 0,
         }
     }
 
-    fn write(&mut self, offset: u32, _len: u32, value: u32) {
+    fn write(&mut self, offset: u32, _len: u32, value: u32, _now: u64) {
         match offset {
             0x00 => self.ctrl = value,
             0x04 => self.x = value,
@@ -120,10 +118,6 @@ impl MmioDevice for Lcd {
             _ => {}
         }
     }
-
-    fn tick(&mut self, cycles: u64) {
-        self.cycles += cycles;
-    }
 }
 
 #[cfg(test)]
@@ -133,10 +127,10 @@ mod tests {
     #[test]
     fn pixels_paint_and_advance() {
         let mut lcd = Lcd::new(0x4001_6800, 4, 2);
-        lcd.write(0x04, 4, 0);
-        lcd.write(0x08, 4, 0);
-        lcd.write(0x0C, 4, 0xFF0000);
-        lcd.write(0x0C, 4, 0x00FF00);
+        lcd.write(0x04, 4, 0, 0);
+        lcd.write(0x08, 4, 0, 0);
+        lcd.write(0x0C, 4, 0xFF0000, 0);
+        lcd.write(0x0C, 4, 0x00FF00, 0);
         assert_eq!(lcd.pixel(0, 0), Some(0xFF0000));
         assert_eq!(lcd.pixel(1, 0), Some(0x00FF00));
         assert_eq!(lcd.pixels_written, 2);
@@ -146,7 +140,7 @@ mod tests {
     fn cursor_wraps_rows() {
         let mut lcd = Lcd::new(0x4001_6800, 2, 2);
         for i in 0..4 {
-            lcd.write(0x0C, 4, i);
+            lcd.write(0x0C, 4, i, 0);
         }
         assert_eq!(lcd.pixel(0, 1), Some(2));
         assert_eq!(lcd.pixel(1, 1), Some(3));
@@ -155,18 +149,19 @@ mod tests {
     #[test]
     fn brightness_is_observable() {
         let mut lcd = Lcd::new(0x4001_6800, 2, 2);
-        lcd.write(0x14, 4, 55);
+        lcd.write(0x14, 4, 55, 0);
         assert_eq!(lcd.brightness(), 55);
-        assert_eq!(lcd.read(0x14, 4), 55);
+        assert_eq!(lcd.read(0x14, 4, 0), 55);
     }
 
     #[test]
     fn vsync_toggles_with_time() {
         let mut lcd = Lcd::new(0x4001_6800, 2, 2);
-        let v0 = lcd.read(0x10, 4);
-        lcd.tick(Lcd::VSYNC_CYCLES);
-        let v1 = lcd.read(0x10, 4);
+        let v0 = lcd.read(0x10, 4, 0);
+        assert_eq!(lcd.read(0x10, 4, Lcd::VSYNC_CYCLES - 1), v0);
+        let v1 = lcd.read(0x10, 4, Lcd::VSYNC_CYCLES);
         assert_ne!(v0, v1);
+        assert_eq!(lcd.read(0x10, 4, 2 * Lcd::VSYNC_CYCLES), v0);
     }
 
     #[test]

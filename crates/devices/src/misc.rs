@@ -46,7 +46,7 @@ impl MmioDevice for Rcc {
         MemRegion::new(self.base, 0x400)
     }
 
-    fn read(&mut self, offset: u32, _len: u32) -> u32 {
+    fn read(&mut self, offset: u32, _len: u32, _now: u64) -> u32 {
         if offset == 0 {
             // PLLRDY mirrors PLLON.
             self.cr | ((self.cr >> 24) & 1) << 25
@@ -55,7 +55,7 @@ impl MmioDevice for Rcc {
         }
     }
 
-    fn write(&mut self, offset: u32, _len: u32, value: u32) {
+    fn write(&mut self, offset: u32, _len: u32, value: u32, _now: u64) {
         if offset == 0 {
             self.cr = value;
         } else if let Some(slot) = self.regs.get_mut((offset / 4) as usize) {
@@ -102,7 +102,7 @@ impl MmioDevice for Dma {
         MemRegion::new(self.base, 0x400)
     }
 
-    fn read(&mut self, offset: u32, _len: u32) -> u32 {
+    fn read(&mut self, offset: u32, _len: u32, _now: u64) -> u32 {
         if offset == 0 {
             self.complete
         } else {
@@ -110,7 +110,7 @@ impl MmioDevice for Dma {
         }
     }
 
-    fn write(&mut self, offset: u32, _len: u32, value: u32) {
+    fn write(&mut self, offset: u32, _len: u32, value: u32, _now: u64) {
         if offset == 0x04 {
             // Channel enable: transfers are instantaneous in the model.
             self.complete |= value;
@@ -156,23 +156,27 @@ impl MmioDevice for RegFile {
     fn region(&self) -> MemRegion {
         MemRegion::new(self.base, 0x400)
     }
-    fn read(&mut self, offset: u32, _len: u32) -> u32 {
+    fn read(&mut self, offset: u32, _len: u32, _now: u64) -> u32 {
         self.regs.get((offset / 4) as usize).copied().unwrap_or(0)
     }
-    fn write(&mut self, offset: u32, _len: u32, value: u32) {
+    fn write(&mut self, offset: u32, _len: u32, value: u32, _now: u64) {
         if let Some(slot) = self.regs.get_mut((offset / 4) as usize) {
             *slot = value;
         }
     }
 }
 
-/// A free-running timer; `CNT` (offset 0x24) advances with machine time
-/// divided by the prescaler (offset 0x28, default 1).
+/// A free-running timer; `CNT` (offset 0x24) is the machine time spent
+/// with `CR.EN` (offset 0x00, bit 0) set, divided by the prescaler
+/// (offset 0x28, default 1).
 #[derive(Clone)]
 pub struct Timer {
     name: String,
     base: u32,
-    cycles: u64,
+    /// Enabled cycles accumulated up to the last `CR` write.
+    counted: u64,
+    /// Device-local time of the last `CR` write.
+    cr_at: u64,
     prescaler: u32,
     cr: u32,
 }
@@ -180,7 +184,16 @@ pub struct Timer {
 impl Timer {
     /// Creates a timer at `base`.
     pub fn new(name: impl Into<String>, base: u32) -> Timer {
-        Timer { name: name.into(), base, cycles: 0, prescaler: 1, cr: 0 }
+        Timer { name: name.into(), base, counted: 0, cr_at: 0, prescaler: 1, cr: 0 }
+    }
+
+    /// Enabled cycles up to device-local time `now`.
+    fn cycles(&self, now: u64) -> u64 {
+        if self.cr & 1 != 0 {
+            self.counted + (now - self.cr_at)
+        } else {
+            self.counted
+        }
     }
 }
 
@@ -205,26 +218,26 @@ impl MmioDevice for Timer {
         MemRegion::new(self.base, 0x400)
     }
 
-    fn read(&mut self, offset: u32, _len: u32) -> u32 {
+    fn read(&mut self, offset: u32, _len: u32, now: u64) -> u32 {
         match offset {
             0x00 => self.cr,
-            0x24 => (self.cycles / u64::from(self.prescaler.max(1))) as u32,
+            0x24 => (self.cycles(now) / u64::from(self.prescaler.max(1))) as u32,
             0x28 => self.prescaler,
             _ => 0,
         }
     }
 
-    fn write(&mut self, offset: u32, _len: u32, value: u32) {
+    fn write(&mut self, offset: u32, _len: u32, value: u32, now: u64) {
         match offset {
-            0x00 => self.cr = value,
+            0x00 => {
+                // Fold the run since the last CR write into the count
+                // before the enable bit can change.
+                self.counted = self.cycles(now);
+                self.cr_at = now;
+                self.cr = value;
+            }
             0x28 => self.prescaler = value.max(1),
             _ => {}
-        }
-    }
-
-    fn tick(&mut self, cycles: u64) {
-        if self.cr & 1 != 0 {
-            self.cycles += cycles;
         }
     }
 }
@@ -236,44 +249,65 @@ mod tests {
     #[test]
     fn rcc_pll_ready_follows_pll_on() {
         let mut rcc = Rcc::new(0x4002_3800);
-        assert_eq!(rcc.read(0x00, 4) & (1 << 25), 0);
-        rcc.write(0x00, 4, 1 << 24);
-        assert_ne!(rcc.read(0x00, 4) & (1 << 25), 0);
+        assert_eq!(rcc.read(0x00, 4, 0) & (1 << 25), 0);
+        rcc.write(0x00, 4, 1 << 24, 0);
+        assert_ne!(rcc.read(0x00, 4, 0) & (1 << 25), 0);
     }
 
     #[test]
     fn rcc_registers_are_storage() {
         let mut rcc = Rcc::new(0x4002_3800);
-        rcc.write(0x30, 4, 0xFFFF);
-        assert_eq!(rcc.read(0x30, 4), 0xFFFF);
+        rcc.write(0x30, 4, 0xFFFF, 0);
+        assert_eq!(rcc.read(0x30, 4, 0), 0xFFFF);
     }
 
     #[test]
     fn dma_enable_completes_instantly() {
         let mut dma = Dma::new("DMA2", 0x4002_6400);
-        assert_eq!(dma.read(0x00, 4), 0);
-        dma.write(0x04, 4, 0b101);
-        assert_eq!(dma.read(0x00, 4), 0b101);
+        assert_eq!(dma.read(0x00, 4, 0), 0);
+        dma.write(0x04, 4, 0b101, 0);
+        assert_eq!(dma.read(0x00, 4, 0), 0b101);
     }
 
     #[test]
     fn regfile_is_storage() {
         let mut r = RegFile::new("PWR", 0x4000_7000);
-        r.write(0x00, 4, 0x4000);
-        assert_eq!(r.read(0x00, 4), 0x4000);
-        assert_eq!(r.read(0x3C, 4), 0);
+        r.write(0x00, 4, 0x4000, 0);
+        assert_eq!(r.read(0x00, 4, 0), 0x4000);
+        assert_eq!(r.read(0x3C, 4, 0), 0);
     }
 
     #[test]
     fn timer_counts_when_enabled() {
         let mut t = Timer::new("TIM2", 0x4000_0000);
-        t.tick(100);
-        assert_eq!(t.read(0x24, 4), 0); // disabled
-        t.write(0x00, 4, 1);
-        t.tick(100);
-        assert_eq!(t.read(0x24, 4), 100);
-        t.write(0x28, 4, 10);
-        t.tick(100);
-        assert_eq!(t.read(0x24, 4), 20);
+        assert_eq!(t.read(0x24, 4, 100), 0); // disabled
+        t.write(0x00, 4, 1, 100);
+        assert_eq!(t.read(0x24, 4, 200), 100);
+        t.write(0x28, 4, 10, 200);
+        assert_eq!(t.read(0x24, 4, 300), 20);
+    }
+
+    #[test]
+    fn timer_freezes_while_disabled_and_resumes() {
+        let mut t = Timer::new("TIM2", 0x4000_0000);
+        t.write(0x00, 4, 1, 0);
+        assert_eq!(t.read(0x24, 4, 50), 50);
+        // Disable at 50: CNT freezes.
+        t.write(0x00, 4, 0, 50);
+        assert_eq!(t.read(0x24, 4, 50), 50);
+        assert_eq!(t.read(0x24, 4, 1_000), 50);
+        // A prescaler write while disabled does not restart counting.
+        t.write(0x28, 4, 5, 1_000);
+        assert_eq!(t.read(0x24, 4, 1_500), 10);
+        // Re-enable at 2000: counting resumes from the frozen total.
+        t.write(0x00, 4, 1, 2_000);
+        assert_eq!(t.read(0x24, 4, 2_100), 30);
+        // A CR write that keeps EN set folds without losing cycles.
+        t.write(0x00, 4, 0b11, 2_100);
+        assert_eq!(t.read(0x24, 4, 2_200), 50);
+        // The prescaler applies to the whole count, as before.
+        t.write(0x28, 4, 1, 2_200);
+        assert_eq!(t.read(0x24, 4, 2_250), 300);
+        assert_eq!(t.read(0x00, 4, 2_250), 0b11);
     }
 }

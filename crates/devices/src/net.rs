@@ -25,7 +25,7 @@ pub struct EthMac {
     tx_stage: Vec<u8>,
     tx_done: Vec<Vec<u8>>,
     frame_gap: u64,
-    elapsed: u64,
+    /// Device-local time the head of `rx` becomes visible.
     next_frame_at: u64,
 }
 
@@ -39,7 +39,6 @@ impl EthMac {
             tx_stage: Vec::new(),
             tx_done: Vec::new(),
             frame_gap: 0,
-            elapsed: 0,
             next_frame_at: 0,
         }
     }
@@ -51,8 +50,8 @@ impl EthMac {
         self
     }
 
-    fn frame_visible(&self) -> bool {
-        !self.rx.is_empty() && self.elapsed >= self.next_frame_at
+    fn frame_visible(&self, now: u64) -> bool {
+        !self.rx.is_empty() && now >= self.next_frame_at
     }
 
     /// Host side: enqueues a received frame.
@@ -92,11 +91,11 @@ impl MmioDevice for EthMac {
         MemRegion::new(self.base, 0x400)
     }
 
-    fn read(&mut self, offset: u32, _len: u32) -> u32 {
+    fn read(&mut self, offset: u32, _len: u32, now: u64) -> u32 {
         match offset {
-            0x00 if self.frame_visible() => self.rx.front().map(|f| f.len() as u32).unwrap_or(0),
+            0x00 if self.frame_visible(now) => self.rx.front().map(|f| f.len() as u32).unwrap_or(0),
             0x04 => {
-                if !self.frame_visible() {
+                if !self.frame_visible(now) {
                     return 0;
                 }
                 let Some(frame) = self.rx.front() else { return 0 };
@@ -108,7 +107,7 @@ impl MmioDevice for EthMac {
                 if self.rx_cursor >= frame.len() {
                     self.rx.pop_front();
                     self.rx_cursor = 0;
-                    self.next_frame_at = self.elapsed + self.frame_gap;
+                    self.next_frame_at = now + self.frame_gap;
                 }
                 u32::from_le_bytes(word)
             }
@@ -116,7 +115,7 @@ impl MmioDevice for EthMac {
         }
     }
 
-    fn write(&mut self, offset: u32, _len: u32, value: u32) {
+    fn write(&mut self, offset: u32, _len: u32, value: u32, _now: u64) {
         match offset {
             0x08 => self.tx_stage.extend_from_slice(&value.to_le_bytes()),
             0x0C => {
@@ -129,12 +128,8 @@ impl MmioDevice for EthMac {
         }
     }
 
-    fn irq_pending(&self) -> bool {
-        self.frame_visible()
-    }
-
-    fn tick(&mut self, cycles: u64) {
-        self.elapsed += cycles;
+    fn irq_pending(&self, now: u64) -> bool {
+        self.frame_visible(now)
     }
 }
 
@@ -146,11 +141,11 @@ mod tests {
     fn frame_reception_word_by_word() {
         let mut mac = EthMac::new(0x4002_8000);
         mac.push_frame(&[1, 2, 3, 4, 5, 6]);
-        assert_eq!(mac.read(0x00, 4), 6);
-        assert_eq!(mac.read(0x04, 4), u32::from_le_bytes([1, 2, 3, 4]));
-        assert_eq!(mac.read(0x04, 4), u32::from_le_bytes([5, 6, 0, 0]));
+        assert_eq!(mac.read(0x00, 4, 0), 6);
+        assert_eq!(mac.read(0x04, 4, 0), u32::from_le_bytes([1, 2, 3, 4]));
+        assert_eq!(mac.read(0x04, 4, 0), u32::from_le_bytes([5, 6, 0, 0]));
         // Frame consumed.
-        assert_eq!(mac.read(0x00, 4), 0);
+        assert_eq!(mac.read(0x00, 4, 0), 0);
     }
 
     #[test]
@@ -159,18 +154,18 @@ mod tests {
         mac.push_frame(&[0xAA; 4]);
         mac.push_frame(&[0xBB; 4]);
         assert_eq!(mac.rx_pending(), 2);
-        let _ = mac.read(0x04, 4);
+        let _ = mac.read(0x04, 4, 0);
         assert_eq!(mac.rx_pending(), 1);
-        assert_eq!(mac.read(0x04, 4), 0xBBBB_BBBB);
+        assert_eq!(mac.read(0x04, 4, 0), 0xBBBB_BBBB);
         assert_eq!(mac.rx_pending(), 0);
     }
 
     #[test]
     fn transmission_commits_staged_bytes() {
         let mut mac = EthMac::new(0x4002_8000);
-        mac.write(0x08, 4, u32::from_le_bytes(*b"ping"));
-        mac.write(0x08, 4, u32::from_le_bytes(*b"pong"));
-        mac.write(0x0C, 4, 6); // commit first 6 bytes
+        mac.write(0x08, 4, u32::from_le_bytes(*b"ping"), 0);
+        mac.write(0x08, 4, u32::from_le_bytes(*b"pong"), 0);
+        mac.write(0x0C, 4, 6, 0); // commit first 6 bytes
         let frames = mac.take_tx_frames();
         assert_eq!(frames, vec![b"pingpo".to_vec()]);
     }
@@ -178,9 +173,9 @@ mod tests {
     #[test]
     fn rx_irq_reflects_queue() {
         let mut mac = EthMac::new(0x4002_8000);
-        assert!(!mac.irq_pending());
+        assert!(!mac.irq_pending(0));
         mac.push_frame(&[0; 4]);
-        assert!(mac.irq_pending());
+        assert!(mac.irq_pending(0));
     }
 
     #[test]
@@ -188,20 +183,20 @@ mod tests {
         let mut mac = EthMac::new(0x4002_8000).with_frame_gap(500);
         mac.push_frame(&[1, 2, 3, 4]);
         mac.push_frame(&[5, 6, 7, 8]);
-        // First frame visible immediately; consume it.
-        assert_eq!(mac.read(0x00, 4), 4);
-        let _ = mac.read(0x04, 4);
+        // First frame visible immediately; consume it at 10.
+        assert_eq!(mac.read(0x00, 4, 10), 4);
+        let _ = mac.read(0x04, 4, 10);
         // Second frame held back for the inter-arrival gap.
-        assert_eq!(mac.read(0x00, 4), 0);
-        mac.tick(499);
-        assert_eq!(mac.read(0x00, 4), 0);
-        mac.tick(1);
-        assert_eq!(mac.read(0x00, 4), 4);
+        assert_eq!(mac.read(0x00, 4, 10), 0);
+        assert_eq!(mac.read(0x00, 4, 509), 0);
+        assert!(!mac.irq_pending(509));
+        assert_eq!(mac.read(0x00, 4, 510), 4);
+        assert!(mac.irq_pending(510));
     }
 
     #[test]
     fn reading_empty_rx_yields_zero() {
         let mut mac = EthMac::new(0x4002_8000);
-        assert_eq!(mac.read(0x04, 4), 0);
+        assert_eq!(mac.read(0x04, 4, 0), 0);
     }
 }

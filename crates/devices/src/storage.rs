@@ -76,7 +76,7 @@ struct BlockPort {
     arg: u32,
     error: bool,
     busy_cycles: u64,
-    elapsed: u64,
+    /// Device-local time the current command's busy period ends.
     busy_until: u64,
 }
 
@@ -89,16 +89,11 @@ impl BlockPort {
             arg: 0,
             error: false,
             busy_cycles: 0,
-            elapsed: 0,
             busy_until: 0,
         }
     }
 
-    fn tick(&mut self, cycles: u64) {
-        self.elapsed += cycles;
-    }
-
-    fn read(&mut self, offset: u32) -> u32 {
+    fn read(&mut self, offset: u32, now: u64) -> u32 {
         match offset {
             0x08 => {
                 let w = self.cursor.min(BLOCK_SIZE - 4);
@@ -107,7 +102,7 @@ impl BlockPort {
                 v
             }
             0x0C => {
-                let ready = self.elapsed >= self.busy_until;
+                let ready = now >= self.busy_until;
                 u32::from(ready) | u32::from(self.error) << 1
             }
             0x04 => self.arg,
@@ -115,12 +110,12 @@ impl BlockPort {
         }
     }
 
-    fn write(&mut self, offset: u32, value: u32) {
+    fn write(&mut self, offset: u32, value: u32, now: u64) {
         match offset {
             0x00 => {
                 // Every command starts a busy period (media access
                 // time); STATUS.ready clears until it elapses.
-                self.busy_until = self.elapsed + self.busy_cycles;
+                self.busy_until = now + self.busy_cycles;
                 match value {
                     CMD_READ_BLOCK => match self.store.read_block(self.arg) {
                         Some(b) => {
@@ -208,14 +203,11 @@ impl MmioDevice for SdCard {
     fn region(&self) -> MemRegion {
         MemRegion::new(self.base, 0x400)
     }
-    fn read(&mut self, offset: u32, _len: u32) -> u32 {
-        self.port.read(offset)
+    fn read(&mut self, offset: u32, _len: u32, now: u64) -> u32 {
+        self.port.read(offset, now)
     }
-    fn write(&mut self, offset: u32, _len: u32, value: u32) {
-        self.port.write(offset, value)
-    }
-    fn tick(&mut self, cycles: u64) {
-        self.port.tick(cycles)
+    fn write(&mut self, offset: u32, _len: u32, value: u32, now: u64) {
+        self.port.write(offset, value, now)
     }
 }
 
@@ -268,14 +260,11 @@ impl MmioDevice for UsbMsc {
     fn region(&self) -> MemRegion {
         MemRegion::new(self.base, 0x400)
     }
-    fn read(&mut self, offset: u32, _len: u32) -> u32 {
-        self.port.read(offset)
+    fn read(&mut self, offset: u32, _len: u32, now: u64) -> u32 {
+        self.port.read(offset, now)
     }
-    fn write(&mut self, offset: u32, _len: u32, value: u32) {
-        self.port.write(offset, value)
-    }
-    fn tick(&mut self, cycles: u64) {
-        self.port.tick(cycles)
+    fn write(&mut self, offset: u32, _len: u32, value: u32, now: u64) {
+        self.port.write(offset, value, now)
     }
 }
 
@@ -300,57 +289,55 @@ mod tests {
         data[0..4].copy_from_slice(&0xAABBCCDDu32.to_le_bytes());
         data[4..8].copy_from_slice(&0x11223344u32.to_le_bytes());
         sd.preload(2, &data);
-        sd.write(0x04, 4, 2); // ARG = block 2
-        sd.write(0x00, 4, CMD_READ_BLOCK);
-        assert_eq!(sd.read(0x0C, 4) & 0b10, 0); // no error
-        assert_eq!(sd.read(0x08, 4), 0xAABBCCDD);
-        assert_eq!(sd.read(0x08, 4), 0x11223344);
+        sd.write(0x04, 4, 2, 0); // ARG = block 2
+        sd.write(0x00, 4, CMD_READ_BLOCK, 0);
+        assert_eq!(sd.read(0x0C, 4, 0) & 0b10, 0); // no error
+        assert_eq!(sd.read(0x08, 4, 0), 0xAABBCCDD);
+        assert_eq!(sd.read(0x08, 4, 0), 0x11223344);
     }
 
     #[test]
     fn sd_write_block_roundtrip() {
         let mut sd = SdCard::new(0x4001_2C00, 16);
-        sd.write(0x04, 4, 5);
+        sd.write(0x04, 4, 5, 0);
         for i in 0..BLOCK_WORDS as u32 {
-            sd.write(0x08, 4, i);
+            sd.write(0x08, 4, i, 0);
         }
-        sd.write(0x00, 4, CMD_WRITE_BLOCK);
+        sd.write(0x00, 4, CMD_WRITE_BLOCK, 0);
         let b = sd.block(5).unwrap();
         assert_eq!(u32::from_le_bytes(b[0..4].try_into().unwrap()), 0);
         assert_eq!(u32::from_le_bytes(b[8..12].try_into().unwrap()), 2);
         // Read it back through the FIFO.
-        sd.write(0x00, 4, CMD_READ_BLOCK);
-        assert_eq!(sd.read(0x08, 4), 0);
-        assert_eq!(sd.read(0x08, 4), 1);
+        sd.write(0x00, 4, CMD_READ_BLOCK, 0);
+        assert_eq!(sd.read(0x08, 4, 0), 0);
+        assert_eq!(sd.read(0x08, 4, 0), 1);
     }
 
     #[test]
     fn out_of_range_block_sets_error() {
         let mut sd = SdCard::new(0x4001_2C00, 2);
-        sd.write(0x04, 4, 99);
-        sd.write(0x00, 4, CMD_READ_BLOCK);
-        assert_eq!(sd.read(0x0C, 4) & 0b10, 0b10);
+        sd.write(0x04, 4, 99, 0);
+        sd.write(0x00, 4, CMD_READ_BLOCK, 0);
+        assert_eq!(sd.read(0x0C, 4, 0) & 0b10, 0b10);
     }
 
     #[test]
     fn busy_cycles_gate_the_ready_flag() {
         let mut sd = SdCard::new(0x4001_2C00, 4).with_busy_cycles(2000);
-        sd.write(0x04, 4, 1);
-        sd.write(0x00, 4, CMD_READ_BLOCK);
-        assert_eq!(sd.read(0x0C, 4) & 1, 0, "busy right after the command");
-        sd.tick(1999);
-        assert_eq!(sd.read(0x0C, 4) & 1, 0);
-        sd.tick(1);
-        assert_eq!(sd.read(0x0C, 4) & 1, 1);
+        sd.write(0x04, 4, 1, 300);
+        sd.write(0x00, 4, CMD_READ_BLOCK, 300);
+        assert_eq!(sd.read(0x0C, 4, 300) & 1, 0, "busy right after the command");
+        assert_eq!(sd.read(0x0C, 4, 2299) & 1, 0);
+        assert_eq!(sd.read(0x0C, 4, 2300) & 1, 1);
     }
 
     #[test]
     fn usb_disk_counts_writes() {
         let mut usb = UsbMsc::new(0x5000_0000, 64);
         assert_eq!(usb.written_blocks(), 0);
-        usb.write(0x04, 4, 0);
-        usb.write(0x08, 4, 0xFEED);
-        usb.write(0x00, 4, CMD_WRITE_BLOCK);
+        usb.write(0x04, 4, 0, 0);
+        usb.write(0x08, 4, 0xFEED, 0);
+        usb.write(0x00, 4, CMD_WRITE_BLOCK, 0);
         assert_eq!(usb.written_blocks(), 1);
         assert_eq!(u32::from_le_bytes(usb.block(0).unwrap()[0..4].try_into().unwrap()), 0xFEED);
     }

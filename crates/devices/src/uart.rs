@@ -32,7 +32,7 @@ pub struct Uart {
     brr: u32,
     cr1: u32,
     byte_delay: u64,
-    elapsed: u64,
+    /// Device-local time the head of `rx` becomes visible.
     ready_at: u64,
 }
 
@@ -49,7 +49,6 @@ impl Uart {
             brr: 0,
             cr1: 0,
             byte_delay: 0,
-            elapsed: 0,
             ready_at: 0,
         }
     }
@@ -62,8 +61,8 @@ impl Uart {
         self
     }
 
-    fn rx_ready(&self) -> bool {
-        !self.rx.is_empty() && self.elapsed >= self.ready_at
+    fn rx_ready(&self, now: u64) -> bool {
+        !self.rx.is_empty() && now >= self.ready_at
     }
 
     /// Host side: queues bytes for the firmware to receive.
@@ -103,21 +102,21 @@ impl MmioDevice for Uart {
         MemRegion::new(self.base, 0x400)
     }
 
-    fn read(&mut self, offset: u32, _len: u32) -> u32 {
+    fn read(&mut self, offset: u32, _len: u32, now: u64) -> u32 {
         match offset {
             0x00 => {
                 let mut sr = SR_TXE;
-                if self.rx_ready() {
+                if self.rx_ready(now) {
                     sr |= SR_RXNE;
                 }
                 sr
             }
             0x04 => {
-                if !self.rx_ready() {
+                if !self.rx_ready(now) {
                     return 0;
                 }
                 let b = self.rx.pop_front().unwrap_or(0);
-                self.ready_at = self.elapsed + self.byte_delay;
+                self.ready_at = now + self.byte_delay;
                 u32::from(b)
             }
             0x08 => self.brr,
@@ -126,7 +125,7 @@ impl MmioDevice for Uart {
         }
     }
 
-    fn write(&mut self, offset: u32, _len: u32, value: u32) {
+    fn write(&mut self, offset: u32, _len: u32, value: u32, _now: u64) {
         match offset {
             0x04 => self.tx.push((value & 0xFF) as u8),
             0x08 => self.brr = value,
@@ -135,13 +134,9 @@ impl MmioDevice for Uart {
         }
     }
 
-    fn irq_pending(&self) -> bool {
+    fn irq_pending(&self, now: u64) -> bool {
         // Level-triggered: RXNEIE enabled and a byte is ready.
-        self.cr1 & (1 << 5) != 0 && self.rx_ready()
-    }
-
-    fn tick(&mut self, cycles: u64) {
-        self.elapsed += cycles;
+        self.cr1 & (1 << 5) != 0 && self.rx_ready(now)
     }
 }
 
@@ -152,21 +147,21 @@ mod tests {
     #[test]
     fn rx_path_pops_in_order() {
         let mut u = Uart::new("USART2", 0x4000_4400);
-        assert_eq!(u.read(0x00, 4) & SR_RXNE, 0);
+        assert_eq!(u.read(0x00, 4, 0) & SR_RXNE, 0);
         u.feed(b"ok");
-        assert_eq!(u.read(0x00, 4) & SR_RXNE, SR_RXNE);
-        assert_eq!(u.read(0x04, 4), u32::from(b'o'));
-        assert_eq!(u.read(0x04, 4), u32::from(b'k'));
-        assert_eq!(u.read(0x00, 4) & SR_RXNE, 0);
+        assert_eq!(u.read(0x00, 4, 0) & SR_RXNE, SR_RXNE);
+        assert_eq!(u.read(0x04, 4, 0), u32::from(b'o'));
+        assert_eq!(u.read(0x04, 4, 0), u32::from(b'k'));
+        assert_eq!(u.read(0x00, 4, 0) & SR_RXNE, 0);
         // Reading an empty DR yields 0 rather than stalling.
-        assert_eq!(u.read(0x04, 4), 0);
+        assert_eq!(u.read(0x04, 4, 0), 0);
     }
 
     #[test]
     fn tx_path_collects_writes() {
         let mut u = Uart::new("USART2", 0x4000_4400);
         for b in b"UNLOCKED" {
-            u.write(0x04, 4, u32::from(*b));
+            u.write(0x04, 4, u32::from(*b), 0);
         }
         assert_eq!(u.take_tx(), b"UNLOCKED");
         assert!(u.take_tx().is_empty());
@@ -175,7 +170,7 @@ mod tests {
     #[test]
     fn txe_always_set() {
         let mut u = Uart::new("u", 0x4000_4400);
-        assert_eq!(u.read(0x00, 4) & SR_TXE, SR_TXE);
+        assert_eq!(u.read(0x00, 4, 0) & SR_TXE, SR_TXE);
     }
 
     #[test]
@@ -183,13 +178,13 @@ mod tests {
         let mut u = Uart::new("u", 0x4000_4400);
         u.feed(b"x");
         // Data ready but the interrupt is masked.
-        assert!(!u.irq_pending());
+        assert!(!u.irq_pending(0));
         // Enabling RXNEIE raises the line for already-queued data.
-        u.write(0x0C, 4, 1 << 5);
-        assert!(u.irq_pending());
+        u.write(0x0C, 4, 1 << 5, 0);
+        assert!(u.irq_pending(0));
         // Draining the data register clears the source.
-        let _ = u.read(0x04, 4);
-        assert!(!u.irq_pending());
+        let _ = u.read(0x04, 4, 0);
+        assert!(!u.irq_pending(0));
     }
 
     #[test]
@@ -197,22 +192,20 @@ mod tests {
         let mut u = Uart::new("u", 0x4000_4400).with_byte_delay(100);
         u.feed(b"ab");
         // First byte available immediately.
-        assert_eq!(u.read(0x00, 4) & SR_RXNE, SR_RXNE);
-        assert_eq!(u.read(0x04, 4), u32::from(b'a'));
+        assert_eq!(u.read(0x00, 4, 0) & SR_RXNE, SR_RXNE);
+        assert_eq!(u.read(0x04, 4, 0), u32::from(b'a'));
         // Second byte is on the wire for 100 cycles.
-        assert_eq!(u.read(0x00, 4) & SR_RXNE, 0);
-        assert_eq!(u.read(0x04, 4), 0);
-        u.tick(99);
-        assert_eq!(u.read(0x00, 4) & SR_RXNE, 0);
-        u.tick(1);
-        assert_eq!(u.read(0x00, 4) & SR_RXNE, SR_RXNE);
-        assert_eq!(u.read(0x04, 4), u32::from(b'b'));
+        assert_eq!(u.read(0x00, 4, 0) & SR_RXNE, 0);
+        assert_eq!(u.read(0x04, 4, 0), 0);
+        assert_eq!(u.read(0x00, 4, 99) & SR_RXNE, 0);
+        assert_eq!(u.read(0x00, 4, 100) & SR_RXNE, SR_RXNE);
+        assert_eq!(u.read(0x04, 4, 100), u32::from(b'b'));
     }
 
     #[test]
     fn config_registers_are_storage() {
         let mut u = Uart::new("u", 0x4000_4400);
-        u.write(0x08, 4, 0x683);
-        assert_eq!(u.read(0x08, 4), 0x683);
+        u.write(0x08, 4, 0x683, 0);
+        assert_eq!(u.read(0x08, 4, 0), 0x683);
     }
 }

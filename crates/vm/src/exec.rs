@@ -866,10 +866,9 @@ impl<S: Supervisor> Vm<S> {
     }
 
     fn charge(&mut self, cycles: u64) {
-        self.machine.clock.tick(cycles);
         // Device-internal time (baud pacing, block busy periods, frame
         // gaps, capture delays) advances with CPU time.
-        self.machine.tick_devices(cycles);
+        self.machine.charge(cycles);
     }
 
     /// Resolves the runtime address of a global, going through the
@@ -1160,19 +1159,17 @@ impl<S: Supervisor> Vm<S> {
         if self.irq_depth > 0 || self.image.irq_vector.is_empty() {
             return Ok(());
         }
-        let pending: Vec<String> =
-            self.machine.pending_irqs().into_iter().map(str::to_string).collect();
-        for dev in pending {
-            let Some(&handler) = self.image.irq_vector.get(&dev) else { continue };
-            self.stats.irqs += 1;
-            self.irq_depth += 1;
-            self.charge(costs::EXC_ENTRY);
-            let restore = self.machine.mode;
-            self.machine.mode = Mode::Privileged;
-            self.push_call(handler, Vec::new(), None)?;
-            self.frame().irq_restore_mode = Some(restore);
+        let vector = &self.image.irq_vector;
+        let Some(handler) = self.machine.first_pending_irq(|dev| vector.get(dev).copied()) else {
             return Ok(());
-        }
+        };
+        self.stats.irqs += 1;
+        self.irq_depth += 1;
+        self.charge(costs::EXC_ENTRY);
+        let restore = self.machine.mode;
+        self.machine.mode = Mode::Privileged;
+        self.push_call(handler, Vec::new(), None)?;
+        self.frame().irq_restore_mode = Some(restore);
         Ok(())
     }
 
@@ -1344,14 +1341,12 @@ impl<S: Supervisor> Vm<S> {
                         match blk.ops[idx] {
                             MicroOp::Mov { dst, src } => {
                                 machine.current_pc = blk.pcs[idx];
-                                machine.clock.tick(costs::ALU);
-                                machine.tick_devices(costs::ALU);
+                                machine.charge(costs::ALU);
                                 regs[dst.0 as usize] = val(regs, src);
                             }
                             MicroOp::Un { dst, op, src } => {
                                 machine.current_pc = blk.pcs[idx];
-                                machine.clock.tick(costs::ALU);
-                                machine.tick_devices(costs::ALU);
+                                machine.charge(costs::ALU);
                                 let v = val(regs, src);
                                 regs[dst.0 as usize] = match op {
                                     UnOp::Neg => v.wrapping_neg(),
@@ -1360,28 +1355,24 @@ impl<S: Supervisor> Vm<S> {
                             }
                             MicroOp::Bin { dst, op, lhs, rhs } => {
                                 machine.current_pc = blk.pcs[idx];
-                                machine.clock.tick(costs::ALU);
-                                machine.tick_devices(costs::ALU);
+                                machine.charge(costs::ALU);
                                 let a = val(regs, lhs);
                                 let b = val(regs, rhs);
                                 regs[dst.0 as usize] = eval_bin(op, a, b);
                             }
                             MicroOp::AddrImm { dst, addr } => {
                                 machine.current_pc = blk.pcs[idx];
-                                machine.clock.tick(costs::ALU);
-                                machine.tick_devices(costs::ALU);
+                                machine.charge(costs::ALU);
                                 regs[dst.0 as usize] = addr;
                             }
                             MicroOp::AddrLocal { dst, off } => {
                                 machine.current_pc = blk.pcs[idx];
-                                machine.clock.tick(costs::ALU);
-                                machine.tick_devices(costs::ALU);
+                                machine.charge(costs::ALU);
                                 regs[dst.0 as usize] = locals_base + off;
                             }
                             MicroOp::Nop => {
                                 machine.current_pc = blk.pcs[idx];
-                                machine.clock.tick(costs::ALU);
-                                machine.tick_devices(costs::ALU);
+                                machine.charge(costs::ALU);
                             }
                             _ => break,
                         }

@@ -418,10 +418,10 @@ fn retry_fixup_reexecutes_the_access() {
         fn region(&self) -> opec_armv7m::MemRegion {
             opec_armv7m::MemRegion::new(0x4000_0000, 0x400)
         }
-        fn read(&mut self, _o: u32, _l: u32) -> u32 {
+        fn read(&mut self, _o: u32, _l: u32, _now: u64) -> u32 {
             0x77
         }
-        fn write(&mut self, _o: u32, _l: u32, _v: u32) {}
+        fn write(&mut self, _o: u32, _l: u32, _v: u32, _now: u64) {}
     }
 
     let mut mb = ModuleBuilder::new("t");
