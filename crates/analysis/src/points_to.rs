@@ -30,7 +30,7 @@
 //! [`PointsToStats`] exposes the propagation and SCC counters.
 //!
 //! The seed's round-robin whole-graph solver is preserved as
-//! [`oracle`] (tests / the `oracle` feature only) and the two are
+//! `oracle` (tests / the `oracle` feature only) and the two are
 //! asserted equivalent on random modules and on the paper's apps.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};

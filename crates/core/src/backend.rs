@@ -11,24 +11,23 @@
 //!   live-stack boundary by disabling sub-regions (rounding the
 //!   boundary down to `stack.size / 8`); the RISC-V PMP wants sixteen
 //!   lowest-wins TOR/NAPOT entries and expresses the stack boundary
-//!   *exactly* with a TOR pair (granularity 4 bytes). The associated
-//!   [`Backend::RegionPlan`] holds whatever the backend precomputes
-//!   from a [`SystemPolicy`].
-//! * **The switch path** ([`Backend::apply_op`]) reprograms the unit at
-//!   every operation switch; [`Backend::virtualize`] serves the
+//!   *exactly* with a TOR pair (granularity 4 bytes).
+//!   [`Backend::plan`] precomputes a [`RegionPlan`] from a
+//!   [`SystemPolicy`].
+//! * **The switch path** ([`RegionPlan::apply_op`]) reprograms the unit
+//!   at every operation switch; [`RegionPlan::virtualize`] serves the
 //!   region-file-too-small case (MPU virtualization, §5.2) by swapping
 //!   one peripheral window into a reserved slot.
-//! * **Fault classification** maps machine faults onto the backend's
-//!   vocabulary ([`Backend::Fault`]), folding to the backend-neutral
-//!   [`FaultClass`] the monitor dispatches on.
+//! * **Fault classification** ([`Backend::fault_class`]) folds machine
+//!   faults to the backend-neutral [`FaultClass`] the monitor
+//!   dispatches on.
 //!
-//! The monitor, oracle and evaluation program against the dyn-safe
-//! erasure [`DynBackend`] (blanket-implemented for every [`Backend`]),
-//! so adding a backend never touches them: the access-matrix oracle is
+//! Both traits are object-safe: the monitor, oracle and evaluation hold
+//! an `Arc<dyn Backend>` and an `Arc<dyn RegionPlan>`, so adding a
+//! backend never touches them. The access-matrix oracle is
 //! backend-independent by construction, which is what lets it check
 //! that the isolation guarantees survive a port.
 
-use std::any::Any;
 use std::sync::Arc;
 
 use opec_armv7m::clock::costs;
@@ -63,47 +62,20 @@ impl From<FaultCause> for FaultClass {
     }
 }
 
-/// Backend-erased cost of one full protection-unit reprogramming, for
-/// the per-backend switch-cost accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SwitchCostSummary {
-    /// Protection registers written (MPU RBAR/RASR pairs, PMP
-    /// cfg+addr pairs).
-    pub writes: u32,
-    /// Cycles those writes cost on the modelled machine.
-    pub cycles: u64,
-}
-
 /// A protection backend: one ISA's machine construction + protection
 /// unit programming strategy.
-///
-/// The associated types keep each backend's vocabulary first-class
-/// (an ARM region plan is not a PMP entry plan; an ARM fault cause is
-/// not a PMP fault cause) while the conversions to the neutral
-/// [`FaultClass`] / [`SwitchCostSummary`] give the monitor one
-/// dispatch surface via [`DynBackend`].
-pub trait Backend: Send + Sync + 'static {
+pub trait Backend: Send + Sync {
     /// Stable backend name (`"armv7m"`, `"rv32-pmp"`): the CLI
     /// vocabulary and report labels.
-    const NAME: &'static str;
-
-    /// Everything the backend precomputes from a [`SystemPolicy`]:
-    /// region files, entry files, cover geometry.
-    type RegionPlan: Send + Sync + 'static;
-
-    /// The backend's own fault vocabulary.
-    type Fault: Into<FaultClass> + 'static;
-
-    /// The backend's own switch-cost record.
-    type SwitchCost: Into<SwitchCostSummary> + 'static;
+    fn name(&self) -> &'static str;
 
     /// Builds a machine with this backend's protection unit installed
     /// (disabled — reset state — until [`Backend::enable`]).
     fn make_machine(&self, board: Board) -> Machine;
 
     /// Generates the region plan for `policy`. Pure: same policy, same
-    /// plan.
-    fn plan(&self, policy: &SystemPolicy) -> Self::RegionPlan;
+    /// plan. Shared (`Arc`) so monitor clones do not copy it.
+    fn plan(&self, policy: &SystemPolicy) -> Arc<dyn RegionPlan>;
 
     /// Turns enforcement on (MPU ENABLE+PRIVDEFENA / PMP armed).
     fn enable(&self, machine: &mut Machine) -> Result<(), String>;
@@ -120,38 +92,6 @@ pub trait Backend: Send + Sync + 'static {
     /// Cycles one protection-register write costs.
     fn write_cost(&self) -> u64;
 
-    /// How many protection registers [`Backend::apply_op`] will write
-    /// for `op` (the caller charges the clock *before* the writes so
-    /// the emitted events carry post-charge timestamps, matching the
-    /// hardware where the reprogramming has happened by the time
-    /// anything observes it).
-    fn op_write_count(&self, plan: &Self::RegionPlan, op: OpId) -> u32;
-
-    /// Programs the unit for `op` with the live stack extending from
-    /// the stack base up to `boundary` (exclusive). Contract: the
-    /// first `min(periph_covers.len(), virt_slots())` peripheral
-    /// covers are preloaded *index-aligned* into the reserved slots —
-    /// the caller's virtualization bookkeeping relies on it. Does not
-    /// charge the clock.
-    fn apply_op(
-        &self,
-        machine: &mut Machine,
-        plan: &Self::RegionPlan,
-        op: OpId,
-        boundary: u32,
-    ) -> Result<Self::SwitchCost, String>;
-
-    /// Swaps peripheral cover `widx` of `op` into reserved slot
-    /// `slot` (one register write; the caller charges the clock).
-    fn virtualize(
-        &self,
-        machine: &mut Machine,
-        plan: &Self::RegionPlan,
-        op: OpId,
-        widx: usize,
-        slot: usize,
-    ) -> Result<(), String>;
-
     /// The stack-protection boundary for an operation entered with
     /// stack pointer `sp`: the live stack becomes `[stack.base,
     /// boundary)`. `None` when no usable live stack remains. ARM
@@ -163,129 +103,40 @@ pub trait Backend: Send + Sync + 'static {
     /// oracle uses it to predict the boundary independently.
     fn boundary_granularity(&self, stack: MemRegion) -> u32;
 
-    /// Maps a machine fault into the backend's fault vocabulary.
-    fn classify_fault(&self, fault: &FaultInfo) -> Self::Fault;
+    /// Folds a machine fault into the neutral class the monitor
+    /// dispatches on.
+    fn fault_class(&self, fault: &FaultInfo) -> FaultClass;
 }
 
-/// Dyn-safe erasure of [`Backend`], blanket-implemented for every
-/// backend. The monitor holds an `Arc<dyn DynBackend>` (it must stay
-/// `Clone` for VM snapshots) and a type-erased plan.
-pub trait DynBackend: Send + Sync {
-    /// [`Backend::NAME`].
-    fn name(&self) -> &'static str;
-    /// [`Backend::make_machine`].
-    fn make_machine(&self, board: Board) -> Machine;
-    /// [`Backend::plan`], type-erased (`Arc` so monitor clones share).
-    fn plan_dyn(&self, policy: &SystemPolicy) -> Arc<dyn Any + Send + Sync>;
-    /// [`Backend::enable`].
-    fn enable(&self, machine: &mut Machine) -> Result<(), String>;
-    /// [`Backend::virt_slots`].
-    fn virt_slots(&self) -> usize;
-    /// [`Backend::virt_slot_label`].
-    fn virt_slot_label(&self, slot: usize) -> u8;
-    /// [`Backend::write_cost`].
-    fn write_cost(&self) -> u64;
-    /// [`Backend::op_write_count`], on an erased plan.
-    fn op_write_count_dyn(&self, plan: &(dyn Any + Send + Sync), op: OpId) -> u32;
-    /// [`Backend::apply_op`], on an erased plan.
-    fn apply_op_dyn(
+/// Everything a backend precomputes from a [`SystemPolicy`] (region
+/// files, entry files, cover geometry), plus the switch-path
+/// programming that consumes it.
+pub trait RegionPlan: Send + Sync {
+    /// How many protection registers [`RegionPlan::apply_op`] will
+    /// write for `op` (the caller charges the clock *before* the writes
+    /// so the emitted events carry post-charge timestamps, matching the
+    /// hardware where the reprogramming has happened by the time
+    /// anything observes it).
+    fn op_write_count(&self, op: OpId) -> u32;
+
+    /// Programs the unit for `op` with the live stack extending from
+    /// the stack base up to `boundary` (exclusive), writing exactly
+    /// [`RegionPlan::op_write_count`] registers. Contract: the first
+    /// `min(periph_covers.len(), virt_slots())` peripheral covers are
+    /// preloaded *index-aligned* into the reserved slots — the caller's
+    /// virtualization bookkeeping relies on it. Does not charge the
+    /// clock.
+    fn apply_op(&self, machine: &mut Machine, op: OpId, boundary: u32) -> Result<(), String>;
+
+    /// Swaps peripheral cover `widx` of `op` into reserved slot
+    /// `slot` (one register write; the caller charges the clock).
+    fn virtualize(
         &self,
         machine: &mut Machine,
-        plan: &(dyn Any + Send + Sync),
-        op: OpId,
-        boundary: u32,
-    ) -> Result<SwitchCostSummary, String>;
-    /// [`Backend::virtualize`], on an erased plan.
-    fn virtualize_dyn(
-        &self,
-        machine: &mut Machine,
-        plan: &(dyn Any + Send + Sync),
         op: OpId,
         widx: usize,
         slot: usize,
     ) -> Result<(), String>;
-    /// [`Backend::stack_boundary`].
-    fn stack_boundary(&self, stack: MemRegion, sp: u32) -> Option<u32>;
-    /// [`Backend::boundary_granularity`].
-    fn boundary_granularity(&self, stack: MemRegion) -> u32;
-    /// [`Backend::classify_fault`] folded to the neutral class.
-    fn fault_class(&self, fault: &FaultInfo) -> FaultClass;
-}
-
-fn downcast_plan<B: Backend>(plan: &(dyn Any + Send + Sync)) -> &B::RegionPlan {
-    plan.downcast_ref::<B::RegionPlan>()
-        .unwrap_or_else(|| panic!("region plan is not a {} plan", B::NAME))
-}
-
-impl<B: Backend> DynBackend for B {
-    fn name(&self) -> &'static str {
-        B::NAME
-    }
-    fn make_machine(&self, board: Board) -> Machine {
-        Backend::make_machine(self, board)
-    }
-    fn plan_dyn(&self, policy: &SystemPolicy) -> Arc<dyn Any + Send + Sync> {
-        Arc::new(self.plan(policy))
-    }
-    fn enable(&self, machine: &mut Machine) -> Result<(), String> {
-        Backend::enable(self, machine)
-    }
-    fn virt_slots(&self) -> usize {
-        Backend::virt_slots(self)
-    }
-    fn virt_slot_label(&self, slot: usize) -> u8 {
-        Backend::virt_slot_label(self, slot)
-    }
-    fn write_cost(&self) -> u64 {
-        Backend::write_cost(self)
-    }
-    fn op_write_count_dyn(&self, plan: &(dyn Any + Send + Sync), op: OpId) -> u32 {
-        self.op_write_count(downcast_plan::<B>(plan), op)
-    }
-    fn apply_op_dyn(
-        &self,
-        machine: &mut Machine,
-        plan: &(dyn Any + Send + Sync),
-        op: OpId,
-        boundary: u32,
-    ) -> Result<SwitchCostSummary, String> {
-        self.apply_op(machine, downcast_plan::<B>(plan), op, boundary).map(Into::into)
-    }
-    fn virtualize_dyn(
-        &self,
-        machine: &mut Machine,
-        plan: &(dyn Any + Send + Sync),
-        op: OpId,
-        widx: usize,
-        slot: usize,
-    ) -> Result<(), String> {
-        self.virtualize(machine, downcast_plan::<B>(plan), op, widx, slot)
-    }
-    fn stack_boundary(&self, stack: MemRegion, sp: u32) -> Option<u32> {
-        Backend::stack_boundary(self, stack, sp)
-    }
-    fn boundary_granularity(&self, stack: MemRegion) -> u32 {
-        Backend::boundary_granularity(self, stack)
-    }
-    fn fault_class(&self, fault: &FaultInfo) -> FaultClass {
-        self.classify_fault(fault).into()
-    }
-}
-
-/// The cost record of one ARM MPU reprogramming.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ArmSwitchCost {
-    /// MPU regions written.
-    pub regions: u32,
-}
-
-impl From<ArmSwitchCost> for SwitchCostSummary {
-    fn from(c: ArmSwitchCost) -> SwitchCostSummary {
-        SwitchCostSummary {
-            writes: c.regions,
-            cycles: u64::from(c.regions) * costs::MPU_REGION_WRITE,
-        }
-    }
 }
 
 /// The ARMv7-M region plan: the paper's original MPU layout.
@@ -303,50 +154,8 @@ pub struct ArmRegionPlan {
 }
 
 impl ArmRegionPlan {
-    /// The static regions 0–2 shared by every operation.
-    pub fn base_regions(&self) -> [(usize, MpuRegion); 3] {
-        self.base
-    }
-
-    /// The region-3 (operation data section) region for `op`.
-    pub fn section_region(&self, op: OpId) -> MpuRegion {
-        self.sections[usize::from(op)]
-    }
-
-    /// The prepared peripheral-cover regions for `op`.
-    pub fn periph_regions(&self, op: OpId) -> &[MpuRegion] {
-        &self.periph[usize::from(op)]
-    }
-}
-
-/// The ARMv7-M MPU backend: the paper's platform.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Armv7mBackend;
-
-impl opec_vm::MachineBackend for Armv7mBackend {
-    const NAME: &'static str = "armv7m";
-
-    fn install(&self, machine: &mut Machine) {
-        machine.set_protection(Box::new(opec_armv7m::Mpu::new()));
-    }
-}
-
-/// Reserved virtualization slots on ARM (MPU regions 4–7).
-const ARM_VIRT_SLOTS: usize = 4;
-
-impl Backend for Armv7mBackend {
-    const NAME: &'static str = "armv7m";
-    type RegionPlan = ArmRegionPlan;
-    type Fault = FaultCause;
-    type SwitchCost = ArmSwitchCost;
-
-    fn make_machine(&self, board: Board) -> Machine {
-        // `Machine::new` installs the ARMv7-M MPU: the back-compat
-        // default *is* this backend.
-        Machine::new(board)
-    }
-
-    fn plan(&self, policy: &SystemPolicy) -> ArmRegionPlan {
+    /// Generates the MPU region plan for `policy`.
+    pub fn new(policy: &SystemPolicy) -> ArmRegionPlan {
         // Region 0: code + SRAM read-only (privileged RW) — the
         // background that lets unprivileged code read Flash, rodata,
         // the public section and the relocation table, while every
@@ -385,6 +194,90 @@ impl Backend for Armv7mBackend {
         ArmRegionPlan { base, sections, periph, stack: policy.stack }
     }
 
+    /// The static regions 0–2 shared by every operation.
+    pub fn base_regions(&self) -> [(usize, MpuRegion); 3] {
+        self.base
+    }
+
+    /// The region-3 (operation data section) region for `op`.
+    pub fn section_region(&self, op: OpId) -> MpuRegion {
+        self.sections[usize::from(op)]
+    }
+
+    /// The prepared peripheral-cover regions for `op`.
+    pub fn periph_regions(&self, op: OpId) -> &[MpuRegion] {
+        &self.periph[usize::from(op)]
+    }
+}
+
+/// Reserved virtualization slots on ARM (MPU regions 4–7).
+const ARM_VIRT_SLOTS: usize = 4;
+
+impl RegionPlan for ArmRegionPlan {
+    fn op_write_count(&self, op: OpId) -> u32 {
+        let preload = self.periph[usize::from(op)].len().min(ARM_VIRT_SLOTS);
+        (self.base.len() + 1 + preload) as u32
+    }
+
+    fn apply_op(&self, machine: &mut Machine, op: OpId, boundary: u32) -> Result<(), String> {
+        // Translate the exact boundary back into the sub-region
+        // disable mask: sub-regions `idx..8` (previous operations'
+        // frames) are disabled. `boundary == stack.end()` is the whole
+        // stack (reset state), mask 0.
+        let sub = self.stack.size / 8;
+        let idx = ((boundary.saturating_sub(self.stack.base)) / sub).min(8);
+        let srd = if idx >= 8 { 0 } else { (0xFFu32 << idx) as u8 };
+        let mut regions: Vec<(usize, MpuRegion)> = Vec::with_capacity(8);
+        for (n, mut r) in self.base {
+            if n == 2 {
+                r.srd = srd;
+            }
+            regions.push((n, r));
+        }
+        regions.push((3, self.section_region(op)));
+        for (i, r) in self.periph[usize::from(op)].iter().take(ARM_VIRT_SLOTS).enumerate() {
+            regions.push((ARM_VIRT_SLOTS + i, *r));
+        }
+        machine.mpu_mut().load_regions(&regions).map_err(|e| format!("MPU programming: {e}"))
+    }
+
+    fn virtualize(
+        &self,
+        machine: &mut Machine,
+        op: OpId,
+        widx: usize,
+        slot: usize,
+    ) -> Result<(), String> {
+        let region = self.periph[usize::from(op)]
+            .get(widx)
+            .copied()
+            .ok_or_else(|| format!("no prepared MPU region for peripheral window {widx}"))?;
+        machine
+            .mpu_mut()
+            .set_region(ARM_VIRT_SLOTS + slot, region)
+            .map_err(|e| format!("MPU virtualization failed: {e}"))
+    }
+}
+
+/// The ARMv7-M MPU backend: the paper's platform.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Armv7mBackend;
+
+impl Backend for Armv7mBackend {
+    fn name(&self) -> &'static str {
+        "armv7m"
+    }
+
+    fn make_machine(&self, board: Board) -> Machine {
+        // `Machine::new` installs the ARMv7-M MPU: the back-compat
+        // default *is* this backend.
+        Machine::new(board)
+    }
+
+    fn plan(&self, policy: &SystemPolicy) -> Arc<dyn RegionPlan> {
+        Arc::new(ArmRegionPlan::new(policy))
+    }
+
     fn enable(&self, machine: &mut Machine) -> Result<(), String> {
         let mpu = machine
             .protection_mut()
@@ -408,58 +301,6 @@ impl Backend for Armv7mBackend {
         costs::MPU_REGION_WRITE
     }
 
-    fn op_write_count(&self, plan: &ArmRegionPlan, op: OpId) -> u32 {
-        let preload = plan.periph[usize::from(op)].len().min(ARM_VIRT_SLOTS);
-        (plan.base.len() + 1 + preload) as u32
-    }
-
-    fn apply_op(
-        &self,
-        machine: &mut Machine,
-        plan: &ArmRegionPlan,
-        op: OpId,
-        boundary: u32,
-    ) -> Result<ArmSwitchCost, String> {
-        // Translate the exact boundary back into the sub-region
-        // disable mask: sub-regions `idx..8` (previous operations'
-        // frames) are disabled. `boundary == stack.end()` is the whole
-        // stack (reset state), mask 0.
-        let sub = plan.stack.size / 8;
-        let idx = ((boundary.saturating_sub(plan.stack.base)) / sub).min(8);
-        let srd = if idx >= 8 { 0 } else { (0xFFu32 << idx) as u8 };
-        let mut regions: Vec<(usize, MpuRegion)> = Vec::with_capacity(8);
-        for (n, mut r) in plan.base {
-            if n == 2 {
-                r.srd = srd;
-            }
-            regions.push((n, r));
-        }
-        regions.push((3, plan.section_region(op)));
-        for (i, r) in plan.periph[usize::from(op)].iter().take(ARM_VIRT_SLOTS).enumerate() {
-            regions.push((ARM_VIRT_SLOTS + i, *r));
-        }
-        machine.mpu_mut().load_regions(&regions).map_err(|e| format!("MPU programming: {e}"))?;
-        Ok(ArmSwitchCost { regions: regions.len() as u32 })
-    }
-
-    fn virtualize(
-        &self,
-        machine: &mut Machine,
-        plan: &ArmRegionPlan,
-        op: OpId,
-        widx: usize,
-        slot: usize,
-    ) -> Result<(), String> {
-        let region = plan.periph[usize::from(op)]
-            .get(widx)
-            .copied()
-            .ok_or_else(|| format!("no prepared MPU region for peripheral window {widx}"))?;
-        machine
-            .mpu_mut()
-            .set_region(ARM_VIRT_SLOTS + slot, region)
-            .map_err(|e| format!("MPU virtualization failed: {e}"))
-    }
-
     fn stack_boundary(&self, stack: MemRegion, sp: u32) -> Option<u32> {
         let sub = stack.size / 8;
         let idx = ((sp.checked_sub(stack.base)?) / sub).min(8);
@@ -473,8 +314,8 @@ impl Backend for Armv7mBackend {
         (stack.size / 8).max(1)
     }
 
-    fn classify_fault(&self, fault: &FaultInfo) -> FaultCause {
-        fault.cause
+    fn fault_class(&self, fault: &FaultInfo) -> FaultClass {
+        fault.cause.into()
     }
 }
 
@@ -491,15 +332,12 @@ mod tests {
         let b = Armv7mBackend;
         let s = stack();
         // SP in the middle of sub-region 5 rounds down to its base.
-        assert_eq!(
-            Backend::stack_boundary(&b, s, s.base + 5 * 0x200 + 0x57),
-            Some(s.base + 5 * 0x200)
-        );
+        assert_eq!(b.stack_boundary(s, s.base + 5 * 0x200 + 0x57), Some(s.base + 5 * 0x200));
         // SP at the very top keeps the whole stack.
-        assert_eq!(Backend::stack_boundary(&b, s, s.end()), Some(s.end()));
+        assert_eq!(b.stack_boundary(s, s.end()), Some(s.end()));
         // SP inside the lowest sub-region leaves nothing usable.
-        assert_eq!(Backend::stack_boundary(&b, s, s.base + 0x1FF), None);
-        assert_eq!(Backend::boundary_granularity(&b, s), 0x200);
+        assert_eq!(b.stack_boundary(s, s.base + 0x1FF), None);
+        assert_eq!(b.boundary_granularity(s), 0x200);
     }
 
     #[test]
@@ -516,12 +354,5 @@ mod tests {
         assert_eq!(b.fault_class(&fi(FaultCause::MpuViolation)), FaultClass::Protection);
         assert_eq!(b.fault_class(&fi(FaultCause::PpbUnprivileged)), FaultClass::ControlPriv);
         assert_eq!(b.fault_class(&fi(FaultCause::Unmapped)), FaultClass::Other);
-    }
-
-    #[test]
-    fn switch_cost_folds_to_summary() {
-        let s: SwitchCostSummary = ArmSwitchCost { regions: 6 }.into();
-        assert_eq!(s.writes, 6);
-        assert_eq!(s.cycles, 6 * costs::MPU_REGION_WRITE);
     }
 }

@@ -548,10 +548,10 @@ mod tests {
 
     #[test]
     fn base_regions_are_valid_and_cover_the_right_things() {
-        use crate::backend::{Armv7mBackend, Backend};
+        use crate::backend::ArmRegionPlan;
         let m = two_task_module();
         let (_, sp) = build(&m, &[OperationSpec::plain("task_a")]);
-        let plan = Armv7mBackend.plan(&sp);
+        let plan = ArmRegionPlan::new(&sp);
         for (n, r) in plan.base_regions() {
             r.validate().unwrap_or_else(|e| panic!("region {n}: {e}"));
         }

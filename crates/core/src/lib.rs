@@ -40,7 +40,7 @@ pub mod partition;
 pub mod pipeline;
 pub mod spec;
 
-pub use backend::{Armv7mBackend, Backend, DynBackend, FaultClass, SwitchCostSummary};
+pub use backend::{Armv7mBackend, Backend, FaultClass, RegionPlan};
 pub use image::build_image;
 pub use layout::{OpPolicy, SharedVar, SystemPolicy};
 pub use monitor::{MonitorStats, OpecMonitor};

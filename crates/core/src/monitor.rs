@@ -27,11 +27,11 @@
 //! it induces is visible to the DWT-based measurement.
 //!
 //! The monitor is backend-generic: all protection-unit programming goes
-//! through [`DynBackend`] (region plans, switch-path reprogramming,
-//! virtualization, fault classification), so the same monitor code
-//! enforces OPEC on the ARMv7-M MPU and on the RISC-V PMP.
+//! through [`Backend`] (fault classification, stack boundaries) and its
+//! [`RegionPlan`] (switch-path reprogramming, virtualization), so the
+//! same monitor code enforces OPEC on the ARMv7-M MPU and on the
+//! RISC-V PMP.
 
-use std::any::Any;
 use std::sync::Arc;
 
 use opec_armv7m::clock::costs;
@@ -41,7 +41,7 @@ use opec_ir::GlobalId;
 use opec_obs::{Access, Event, Obs};
 use opec_vm::{CpuContext, FaultFixup, OpId, Supervisor, SwitchRequest, TrapCause, TrapError};
 
-use crate::backend::{Armv7mBackend, DynBackend, FaultClass};
+use crate::backend::{Armv7mBackend, Backend, FaultClass, RegionPlan};
 use crate::layout::SystemPolicy;
 
 /// Monitor-side counters.
@@ -96,9 +96,9 @@ pub struct OpecMonitor {
     /// whole policy.
     policy: Arc<SystemPolicy>,
     /// The protection backend all unit programming dispatches through.
-    backend: Arc<dyn DynBackend>,
+    backend: Arc<dyn Backend>,
     /// The backend's precomputed region plan for `policy`.
-    plan: Arc<dyn Any + Send + Sync>,
+    plan: Arc<dyn RegionPlan>,
     ctx: Vec<OpContext>,
     rr: usize,
     /// Which peripheral window (index into the current operation's
@@ -118,9 +118,9 @@ impl OpecMonitor {
     }
 
     /// Creates a monitor enforcing `policy` through `backend`.
-    pub fn with_backend(policy: SystemPolicy, backend: Arc<dyn DynBackend>) -> OpecMonitor {
+    pub fn with_backend(policy: SystemPolicy, backend: Arc<dyn Backend>) -> OpecMonitor {
         let policy = Arc::new(policy);
-        let plan = backend.plan_dyn(&policy);
+        let plan = backend.plan(&policy);
         let slots = backend.virt_slots();
         OpecMonitor {
             policy,
@@ -145,7 +145,7 @@ impl OpecMonitor {
     }
 
     /// The protection backend this monitor programs.
-    pub fn backend(&self) -> &Arc<dyn DynBackend> {
+    pub fn backend(&self) -> &Arc<dyn Backend> {
         &self.backend
     }
 
@@ -304,12 +304,11 @@ impl OpecMonitor {
         for i in 0..self.policy.op(op).periph_covers.len().min(slots) {
             self.virt_slots[i] = Some(i as u8);
         }
-        let writes = self.backend.op_write_count_dyn(self.plan.as_ref(), op);
+        let writes = self.plan.op_write_count(op);
         machine.clock.tick(self.backend.write_cost() * u64::from(writes));
         self.obs.set_now(machine.clock.now());
-        let plan = Arc::clone(&self.plan);
-        let cost = self.backend.apply_op_dyn(machine, plan.as_ref(), op, boundary)?;
-        self.stats.prot_writes += u64::from(cost.writes);
+        self.plan.apply_op(machine, op, boundary)?;
+        self.stats.prot_writes += u64::from(writes);
         Ok(())
     }
 
@@ -627,8 +626,7 @@ impl Supervisor for OpecMonitor {
                 });
             }
             self.virt_slots[slot] = Some(widx as u8);
-            let plan = Arc::clone(&self.plan);
-            if let Err(e) = self.backend.virtualize_dyn(machine, plan.as_ref(), op, widx, slot) {
+            if let Err(e) = self.plan.virtualize(machine, op, widx, slot) {
                 return FaultFixup::Abort(TrapError::new(
                     op,
                     TrapCause::Unrecoverable(format!("virtualization failed: {e}")),

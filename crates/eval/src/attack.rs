@@ -27,13 +27,14 @@ use opec_armv7m::{Machine, MemRegion};
 use opec_campaign::json::{self, Value};
 use opec_campaign::{run_campaign, CampaignOpts, CampaignReport, Job, JobOutcome, JobResult};
 use opec_core::{compile, CompileOutput, OpecMonitor};
+use opec_fleet::FleetBackend;
 use opec_inject::{score, Attack, AttackKind, CampaignInjector, CampaignResult, Verdict};
 use opec_vm::{
     link_baseline, InjectAction, LoadedImage, NullSupervisor, OpId, Supervisor, Vm, VmError,
     VmSnapshot,
 };
 
-use crate::backend::BackendSel;
+use crate::check::backend_segment;
 use crate::engine::{EngineOpts, RunLimits};
 use crate::runs::FUEL;
 use crate::table::TextTable;
@@ -139,7 +140,7 @@ pub fn attack_matrix(seeds: u64) -> AttackMatrix {
 /// default supervision. Kept for the legacy call sites; the engine
 /// cannot fail without a journal configured.
 pub fn attack_matrix_for(apps: &[App], seeds: u64) -> AttackMatrix {
-    attack_matrix_campaign(apps, seeds, &EngineOpts::default(), BackendSel::Armv7m)
+    attack_matrix_campaign(apps, seeds, &EngineOpts::default(), FleetBackend::Armv7m)
         .expect("attack campaign")
         .0
 }
@@ -153,7 +154,7 @@ pub fn attack_matrix_campaign(
     apps: &[App],
     seeds: u64,
     opts: &EngineOpts,
-    sel: BackendSel,
+    sel: FleetBackend,
 ) -> Result<(AttackMatrix, CampaignReport), String> {
     attack_matrix_with(apps, seeds, &opts.campaign_opts("attack-matrix"), sel)
 }
@@ -164,12 +165,9 @@ pub fn attack_matrix_with(
     apps: &[App],
     seeds: u64,
     opts: &CampaignOpts,
-    sel: BackendSel,
+    sel: FleetBackend,
 ) -> Result<(AttackMatrix, CampaignReport), String> {
-    let seg = match sel {
-        BackendSel::Armv7m => "",
-        BackendSel::Rv32Pmp => "rv32-pmp/",
-    };
+    let seg = backend_segment(sel);
     let aces_apps: Vec<&'static str> = aces_comparison_apps().iter().map(|a| a.name).collect();
     let meta: Vec<(&App, bool)> =
         apps.iter().map(|app| (app, aces_apps.contains(&app.name) && sel.has_aces())).collect();
@@ -300,7 +298,7 @@ fn app_cells(
     seeds: u64,
     with_aces: bool,
     limits: &RunLimits,
-    sel: BackendSel,
+    sel: FleetBackend,
 ) -> Vec<Cell> {
     let art = build_artifacts(app, with_aces);
     let mut opec = caught_runner("OPEC init", || prepare_opec(app, &art, sel));
@@ -431,7 +429,7 @@ fn caught_runner<S: Supervisor + Clone>(
 fn prepare_opec(
     app: &App,
     art: &Artifacts,
-    sel: BackendSel,
+    sel: FleetBackend,
 ) -> Result<Runner<OpecMonitor>, String> {
     let out = art.opec.as_ref().map_err(Clone::clone)?;
     let backend = sel.dyn_backend();
@@ -467,7 +465,7 @@ fn prepare_aces(app: &App, art: &Artifacts) -> Result<Runner<AcesRuntime>, Strin
 fn prepare_baseline(
     app: &App,
     art: &Artifacts,
-    sel: BackendSel,
+    sel: FleetBackend,
 ) -> Result<Runner<NullSupervisor>, String> {
     let image = art.baseline.as_ref().map_err(Clone::clone)?;
     let mut machine = sel.dyn_backend().make_machine(app.board);
@@ -1128,7 +1126,7 @@ mod tests {
         let mut o = test_opts("attack-panic");
         o.panic_inject = Some("attack/app/PinLock".to_string());
         let (m, rep) =
-            attack_matrix_with(&[opec_apps::programs::pinlock::app()], 1, &o, BackendSel::Armv7m)
+            attack_matrix_with(&[opec_apps::programs::pinlock::app()], 1, &o, FleetBackend::Armv7m)
                 .unwrap();
         // The injected fault panicked both attempts: one retry, then
         // classified deterministic — and the campaign itself survived.
@@ -1162,9 +1160,9 @@ mod tests {
         let mut o = test_opts("attack-resume");
         o.journal = Some(path.clone());
         let apps = [opec_apps::programs::pinlock::app()];
-        let (fresh, first) = attack_matrix_with(&apps, 2, &o, BackendSel::Armv7m).unwrap();
+        let (fresh, first) = attack_matrix_with(&apps, 2, &o, FleetBackend::Armv7m).unwrap();
         assert_eq!(first.resumed, 0);
-        let (resumed, second) = attack_matrix_with(&apps, 2, &o, BackendSel::Armv7m).unwrap();
+        let (resumed, second) = attack_matrix_with(&apps, 2, &o, FleetBackend::Armv7m).unwrap();
         assert_eq!(second.resumed, 1, "the journaled job must not re-run");
         assert_eq!(fresh.to_json(), resumed.to_json());
         assert_eq!(fresh.render(), resumed.render());

@@ -30,8 +30,8 @@ use opec_ir::{BinOp, Module, ModuleBuilder, Operand, Ty};
 use opec_vm::{link_baseline, ExecMode, LoadedImage, Supervisor, Vm};
 
 use opec_campaign::CampaignReport;
+use opec_fleet::FleetBackend;
 
-use crate::backend::BackendSel;
 use crate::check::run_lockstep_campaign;
 use crate::engine::EngineOpts;
 use crate::runs::FUEL;
@@ -168,7 +168,7 @@ fn micro_throughput() -> Throughput {
     })
 }
 
-fn opec_throughput(app: &App, sel: BackendSel) -> Throughput {
+fn opec_throughput(app: &App, sel: FleetBackend) -> Throughput {
     let (module, specs) = (app.build)();
     let out =
         compile(module, app.board, &specs).unwrap_or_else(|e| panic!("{} compile: {e}", app.name));
@@ -210,7 +210,7 @@ impl SwitchCost {
     }
 }
 
-fn switch_costs(sel: BackendSel) -> Vec<SwitchCost> {
+fn switch_costs(sel: FleetBackend) -> Vec<SwitchCost> {
     all_apps()
         .iter()
         .map(|app| {
@@ -311,8 +311,8 @@ fn campaign_bench() -> CampaignBench {
 /// supervision. Returns the document and the lockstep divergence count
 /// (non-zero must fail the caller).
 pub fn bench_vm(gen_seeds: u64) -> (String, u64) {
-    let (doc, bad, _) =
-        bench_vm_campaign(gen_seeds, &EngineOpts::default(), BackendSel::Armv7m).expect("bench-vm");
+    let (doc, bad, _) = bench_vm_campaign(gen_seeds, &EngineOpts::default(), FleetBackend::Armv7m)
+        .expect("bench-vm");
     (doc, bad)
 }
 
@@ -325,7 +325,7 @@ pub fn bench_vm(gen_seeds: u64) -> (String, u64) {
 pub fn bench_vm_campaign(
     gen_seeds: u64,
     engine: &EngineOpts,
-    sel: BackendSel,
+    sel: FleetBackend,
 ) -> Result<(String, u64, CampaignReport), String> {
     let mut out = String::from("{\n");
     writeln!(out, "  \"schema\": \"opec-bench-vm-v1\",").expect("write to String");
@@ -364,14 +364,14 @@ pub fn bench_vm_campaign(
 
     eprintln!("[bench-vm] per-backend protection-switch costs (both backends)...");
     out.push_str("  \"switch_costs\": {\n");
-    for (bi, backend) in BackendSel::ALL.iter().enumerate() {
+    for (bi, backend) in FleetBackend::ALL.iter().enumerate() {
         let costs = switch_costs(*backend);
         writeln!(out, "    \"{}\": [", backend.name()).expect("write to String");
         for (i, c) in costs.iter().enumerate() {
             writeln!(out, "      {}{}", c.json(), if i + 1 < costs.len() { "," } else { "" })
                 .expect("write to String");
         }
-        writeln!(out, "    ]{}", if bi + 1 < BackendSel::ALL.len() { "," } else { "" })
+        writeln!(out, "    ]{}", if bi + 1 < FleetBackend::ALL.len() { "," } else { "" })
             .expect("write to String");
     }
     out.push_str("  },\n");

@@ -29,6 +29,7 @@ use opec_armv7m::Machine;
 use opec_campaign::json::{self, Value};
 use opec_campaign::{run_campaign, CampaignOpts, CampaignReport, Job, JobOutcome, JobResult};
 use opec_core::{compile, OpecMonitor};
+use opec_fleet::FleetBackend;
 use opec_ir::{GlobalId, Module};
 use opec_obs::export::{event_log, metrics_json};
 use opec_obs::{Obs, OpId, Recorder};
@@ -38,7 +39,6 @@ use opec_oracle::{
 };
 use opec_vm::{ExecMode, LoadedImage, RunOutcome, Supervisor, Trace, Vm, VmError, VmStats};
 
-use crate::backend::BackendSel;
 use crate::engine::{EngineOpts, RunLimits};
 use crate::metrics::{et_by_task, pt_of_compartments};
 use crate::runs::{AppEval, OpecRun};
@@ -60,7 +60,7 @@ pub struct CheckOptions {
     /// Protection backend the OPEC stack runs on. The ACES comparison
     /// exists only on ARMv7-M; on other backends its cases are
     /// recorded as skip notes.
-    pub backend: BackendSel,
+    pub backend: FleetBackend,
     /// Fuzzing corpus directory: when set, `--shrink` consults the
     /// corpus for a smaller already-known plan covering the same
     /// divergence key and shrinks from the smaller of the two.
@@ -69,7 +69,7 @@ pub struct CheckOptions {
 
 impl Default for CheckOptions {
     fn default() -> CheckOptions {
-        CheckOptions { seeds: 16, shrink: false, backend: BackendSel::Armv7m, corpus: None }
+        CheckOptions { seeds: 16, shrink: false, backend: FleetBackend::Armv7m, corpus: None }
     }
 }
 
@@ -130,7 +130,7 @@ pub struct CheckReport {
 impl Default for CheckReport {
     fn default() -> CheckReport {
         CheckReport {
-            backend: BackendSel::Armv7m.name(),
+            backend: FleetBackend::Armv7m.name(),
             cases: Vec::new(),
             crosschecks: Vec::new(),
         }
@@ -447,7 +447,7 @@ fn verdict_case(name: String, system: &'static str, v: &Verdict) -> CaseResult {
 pub fn check_opec_app(
     app: &App,
     limits: &RunLimits,
-    sel: BackendSel,
+    sel: FleetBackend,
 ) -> (CaseResult, Vec<CrossCheck>, BudgetHalt) {
     let backend = sel.dyn_backend();
     let (module, specs) = (app.build)();
@@ -661,7 +661,7 @@ fn gen_opec_case(
     seed: u64,
     do_shrink: bool,
     budget: &RunBudget,
-    sel: BackendSel,
+    sel: FleetBackend,
     corpus: Option<&Corpus>,
 ) -> (CaseResult, BudgetHalt) {
     match run_opec_on(spec, None, budget, sel.dyn_backend()) {
@@ -752,20 +752,21 @@ fn job_slug(name: &str) -> String {
         .collect()
 }
 
-/// Job-id segment for the backend: empty on ARMv7-M (the historical id
-/// shape, so existing journals still resume) and `rv32-pmp/` on the
-/// port — a journal written under one backend must never satisfy a
-/// resume under the other.
-pub(crate) fn backend_segment(sel: BackendSel) -> &'static str {
-    match sel {
-        BackendSel::Armv7m => "",
-        BackendSel::Rv32Pmp => "rv32-pmp/",
+/// Job-id segment for the backend: empty on the default ARMv7-M (the
+/// historical id shape, so existing journals still resume) and
+/// `<name>/` on every other backend (`rv32-pmp/`) — a journal written
+/// under one backend must never satisfy a resume under another.
+pub(crate) fn backend_segment(sel: FleetBackend) -> String {
+    if sel == FleetBackend::default() {
+        String::new()
+    } else {
+        format!("{}/", sel.name())
     }
 }
 
 /// The ACES-side skip case recorded for every comparison subject when
 /// the selected backend has no ACES port.
-fn aces_skip_case(name: String, sel: BackendSel) -> CaseResult {
+fn aces_skip_case(name: String, sel: FleetBackend) -> CaseResult {
     CaseResult {
         name,
         system: "ACES",
@@ -1090,7 +1091,7 @@ fn lock_error(name: String, system: &'static str, error: String) -> CaseResult {
     }
 }
 
-fn lockstep_opec_app(app: &App, fuel: u64, sel: BackendSel) -> (CaseResult, BudgetHalt) {
+fn lockstep_opec_app(app: &App, fuel: u64, sel: FleetBackend) -> (CaseResult, BudgetHalt) {
     let backend = sel.dyn_backend();
     let (module, specs) = (app.build)();
     match compile(module, app.board, &specs) {
@@ -1149,7 +1150,7 @@ fn lockstep_aces_app(app: &App, fuel: u64) -> (CaseResult, BudgetHalt) {
     }
 }
 
-fn lockstep_generated(seed: u64, fuel: u64, sel: BackendSel) -> (CaseResult, BudgetHalt) {
+fn lockstep_generated(seed: u64, fuel: u64, sel: FleetBackend) -> (CaseResult, BudgetHalt) {
     let backend = sel.dyn_backend();
     let spec = generate(seed);
     let specs = spec.op_specs();
@@ -1188,7 +1189,7 @@ fn lockstep_generated(seed: u64, fuel: u64, sel: BackendSel) -> (CaseResult, Bud
 /// Subjects: the seven paper applications under OPEC, the five
 /// comparison applications under ACES, and `seeds` generated firmwares
 /// under OPEC.
-pub fn run_lockstep(seeds: u64, sel: BackendSel) -> CheckReport {
+pub fn run_lockstep(seeds: u64, sel: FleetBackend) -> CheckReport {
     run_lockstep_campaign(seeds, &EngineOpts::default(), sel).expect("lockstep campaign").0
 }
 
@@ -1201,7 +1202,7 @@ pub fn run_lockstep(seeds: u64, sel: BackendSel) -> CheckReport {
 pub fn run_lockstep_campaign(
     seeds: u64,
     engine: &EngineOpts,
-    sel: BackendSel,
+    sel: FleetBackend,
 ) -> Result<(CheckReport, CampaignReport), String> {
     run_lockstep_with(seeds, &engine.lockstep_opts("lockstep"), sel)
 }
@@ -1210,7 +1211,7 @@ pub fn run_lockstep_campaign(
 pub fn run_lockstep_with(
     seeds: u64,
     copts: &CampaignOpts,
-    sel: BackendSel,
+    sel: FleetBackend,
 ) -> Result<(CheckReport, CampaignReport), String> {
     let seg = backend_segment(sel);
     let apps = all_apps();
@@ -1283,7 +1284,7 @@ mod tests {
     fn pinlock_is_divergence_free_with_agreeing_metrics() {
         let app = opec_apps::programs::pinlock::app();
         let limits = RunLimits::unsupervised();
-        let (case, crosschecks, halt) = check_opec_app(&app, &limits, BackendSel::Armv7m);
+        let (case, crosschecks, halt) = check_opec_app(&app, &limits, FleetBackend::Armv7m);
         assert!(!case.failed(), "{:?}", case);
         assert!(case.checks > 0 && case.probes > 0 && case.switches > 0);
         assert!(crosschecks.iter().all(|x| x.ok), "{crosschecks:?}");
@@ -1298,14 +1299,14 @@ mod tests {
     #[test]
     fn pinlock_lockstep_has_zero_divergences() {
         let app = opec_apps::programs::pinlock::app();
-        let (case, halt) = lockstep_opec_app(&app, FUEL, BackendSel::Armv7m);
+        let (case, halt) = lockstep_opec_app(&app, FUEL, FleetBackend::Armv7m);
         assert_eq!(case.total, 0, "OPEC: {:?}", case.divergences);
         assert!(case.run_error.is_none(), "{:?}", case.run_error);
         assert!(case.checks > 0 && case.switches > 0);
         assert_eq!(halt, BudgetHalt::Ran);
         let (case, _) = lockstep_aces_app(&app, FUEL);
         assert_eq!(case.total, 0, "ACES: {:?}", case.divergences);
-        let (case, _) = lockstep_generated(0, FUEL, BackendSel::Armv7m);
+        let (case, _) = lockstep_generated(0, FUEL, FleetBackend::Armv7m);
         assert_eq!(case.total, 0, "gen[0]: {:?}", case.divergences);
     }
 
@@ -1315,7 +1316,7 @@ mod tests {
         // the same instruction, compare equal, and the job surfaces the
         // truncation as FuelExhausted instead of diverging or hanging.
         let app = opec_apps::programs::pinlock::app();
-        let (case, halt) = lockstep_opec_app(&app, 10_000, BackendSel::Armv7m);
+        let (case, halt) = lockstep_opec_app(&app, 10_000, FleetBackend::Armv7m);
         assert_eq!(case.total, 0, "tight fuel: {:?}", case.divergences);
         assert_eq!(halt, BudgetHalt::Fuel);
     }

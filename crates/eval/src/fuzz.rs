@@ -45,6 +45,7 @@ use std::time::Instant;
 use opec_campaign::json::{self, Value};
 use opec_campaign::{run_campaign, CampaignOpts, CampaignReport, Job, JobOutcome};
 use opec_core::SystemPolicy;
+use opec_fleet::FleetBackend;
 use opec_inject::SplitMix64;
 use opec_obs::{OracleKind, OracleLayer};
 use opec_oracle::corpus::{spec_from, spec_json};
@@ -54,7 +55,6 @@ use opec_oracle::{
     RunBudget, Verdict, LATENT_MIN_WINDOWS,
 };
 
-use crate::backend::BackendSel;
 use crate::check::{backend_segment, gen_budget, BudgetHalt};
 use crate::engine::{EngineOpts, RunLimits};
 
@@ -123,7 +123,7 @@ pub struct FuzzOptions {
     /// Total jobs to run.
     pub seeds: u64,
     /// Protection backend.
-    pub backend: BackendSel,
+    pub backend: FleetBackend,
     /// On-disk corpus directory; `None` keeps the corpus in memory.
     pub corpus: Option<String>,
     /// Base-selection mode.
@@ -136,7 +136,7 @@ impl Default for FuzzOptions {
     fn default() -> FuzzOptions {
         FuzzOptions {
             seeds: 256,
-            backend: BackendSel::Armv7m,
+            backend: FleetBackend::Armv7m,
             corpus: None,
             mode: FuzzMode::Guided,
             round: DEFAULT_ROUND,
@@ -540,7 +540,7 @@ struct Trial {
 /// Runs one in-process time-to-find trial: the same round planner as
 /// the campaign path, sequential (wall-clock stays honest), with the
 /// latent broken-MPU tamper applied to every run.
-fn trial(mode: FuzzMode, sel: BackendSel, opts: &BenchOptions, salt: u64) -> Trial {
+fn trial(mode: FuzzMode, sel: FleetBackend, opts: &BenchOptions, salt: u64) -> Trial {
     let start = Instant::now();
     let tamper = |p: &mut SystemPolicy| break_mpu_latent(p, LATENT_MIN_WINDOWS);
     let mut corpus = Corpus::in_memory();
@@ -589,7 +589,7 @@ fn median(xs: &mut [u64]) -> u64 {
 /// folds the coverage into one aggregate digest. Two invocations over
 /// the same corpus must agree bit-for-bit — the determinism the corpus
 /// format (and resume) rests on.
-pub fn replay_digest(corpus: &Corpus, sel: BackendSel) -> Result<u64, String> {
+pub fn replay_digest(corpus: &Corpus, sel: FleetBackend) -> Result<u64, String> {
     let mut agg = CoverageMap::new();
     for e in &corpus.entries {
         let (_, cov) = run_opec_cov(&e.spec, None, &RunBudget::default(), sel.dyn_backend())?;
@@ -607,7 +607,7 @@ struct Cell {
     median_ms: u64,
 }
 
-fn bench_cell(mode: FuzzMode, sel: BackendSel, opts: &BenchOptions) -> (Cell, Option<Corpus>) {
+fn bench_cell(mode: FuzzMode, sel: FleetBackend, opts: &BenchOptions) -> (Cell, Option<Corpus>) {
     let mut jobs = Vec::new();
     let mut ms = Vec::new();
     let mut last_corpus = None;
@@ -662,8 +662,8 @@ pub fn bench_time_to_find(opts: &BenchOptions) -> Result<String, String> {
          \"backends\": [\n",
         opts.trials, opts.budget, DEFAULT_ROUND, LATENT_MIN_WINDOWS
     );
-    let mut replay: Option<(BackendSel, Corpus)> = None;
-    let backends = [BackendSel::Armv7m, BackendSel::Rv32Pmp];
+    let mut replay: Option<(FleetBackend, Corpus)> = None;
+    let backends = FleetBackend::ALL;
     for (bi, &sel) in backends.iter().enumerate() {
         eprintln!("[opec-eval] time-to-find on {} ({} trials per mode)...", sel.name(), {
             opts.trials
@@ -772,7 +772,7 @@ mod tests {
                 &spec,
                 Some(&tamper),
                 &RunBudget::default(),
-                BackendSel::Armv7m.dyn_backend(),
+                FleetBackend::Armv7m.dyn_backend(),
             )
             .expect("pipeline");
             assert!(v.clean(), "seed {seed} diverged under the latent tamper");

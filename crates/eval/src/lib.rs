@@ -51,7 +51,6 @@
 #![warn(missing_docs)]
 
 pub mod attack;
-pub mod backend;
 pub mod benchjson;
 pub mod benchvm;
 pub mod cache;
@@ -65,7 +64,6 @@ pub mod report;
 pub mod runs;
 pub mod table;
 
-pub use backend::BackendSel;
 pub use cache::EvalCache;
 pub use cli::CliArgs;
 pub use metrics::{et_by_task, pt_of_compartments, table1_row, EtSeries, Table1Row};

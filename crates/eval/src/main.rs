@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use opec_apps::programs::all_apps;
 use opec_eval::engine::EngineOpts;
-use opec_eval::{attack, benchjson, benchvm, check, fuzz, obsreport, report, BackendSel, CliArgs};
+use opec_eval::{attack, benchjson, benchvm, check, fuzz, obsreport, report, CliArgs};
 use opec_fleet::{
     fleet_bench, resolve_workers, run_fleet, BenchConfig, FleetBackend, FleetConfig, FleetShared,
     Mix, ServeState,
@@ -270,7 +270,7 @@ fn main() {
         }
         "bench-vm" => {
             no_flags(&campaign_flags(&["--backend", "--seeds", "--json"]));
-            let sel = BackendSel::from_args(&args).unwrap_or_else(|e| fail(&e));
+            let sel = FleetBackend::from_flag(args.backend.as_deref()).unwrap_or_else(|e| fail(&e));
             let seeds = args.seeds.unwrap_or(16);
             let engine = EngineOpts::from_args(&args);
             let out = args.json.clone().map(|p| (create(&p), p));
@@ -299,7 +299,7 @@ fn main() {
         }
         "attack-matrix" => {
             no_flags(&campaign_flags(&["--backend", "--seeds", "--json"]));
-            let sel = BackendSel::from_args(&args).unwrap_or_else(|e| fail(&e));
+            let sel = FleetBackend::from_flag(args.backend.as_deref()).unwrap_or_else(|e| fail(&e));
             let seeds = args.seeds.unwrap_or(4);
             let engine = EngineOpts::from_args(&args);
             let out = args.json.clone().map(|p| (create(&p), p));
@@ -345,7 +345,7 @@ fn main() {
                 "--lockstep",
                 "--corpus",
             ]));
-            let sel = BackendSel::from_args(&args).unwrap_or_else(|e| fail(&e));
+            let sel = FleetBackend::from_flag(args.backend.as_deref()).unwrap_or_else(|e| fail(&e));
             let seeds = args.seeds.unwrap_or(16);
             let engine = EngineOpts::from_args(&args);
             let out = args.json.clone().map(|p| (create(&p), p));
@@ -426,7 +426,7 @@ fn main() {
                 "--time-to-find",
                 "--trials",
             ]));
-            let sel = BackendSel::from_args(&args).unwrap_or_else(|e| fail(&e));
+            let sel = FleetBackend::from_flag(args.backend.as_deref()).unwrap_or_else(|e| fail(&e));
             let out = args.json.clone().map(|p| (create(&p), p));
             if args.time_to_find {
                 if args.corpus.is_some() || args.mode.is_some() || args.journal.is_some() {
@@ -641,7 +641,7 @@ fn main() {
         }
         "report" => {
             no_flags(&["--backend", "--obs-json", "--trace", "--apps", "--ring", "--funcs"]);
-            let _ = BackendSel::from_args(&args).unwrap_or_else(|e| fail(&e));
+            let _ = FleetBackend::from_flag(args.backend.as_deref()).unwrap_or_else(|e| fail(&e));
             // Fail on unwritable artifact paths before the runs.
             let obs_out = args.obs_json.clone().map(|p| (create(&p), p));
             let trace_out = args.trace.clone().map(|p| (create(&p), p));

@@ -27,10 +27,10 @@ use opec_apps::programs::{aces_comparison_apps, all_apps};
 use opec_apps::App;
 use opec_armv7m::Machine;
 use opec_core::{compile, OpecMonitor};
+use opec_fleet::FleetBackend;
 use opec_obs::{chrome_trace, metrics_json, Metrics, Obs, Recorder, Stamped};
 use opec_vm::{RunOutcome, Vm};
 
-use crate::backend::BackendSel;
 use crate::cli::CliArgs;
 use crate::runs::FUEL;
 use crate::table::TextTable;
@@ -105,7 +105,7 @@ fn drain(
     }
 }
 
-fn run_opec_obs(app: &App, args: &CliArgs, sel: BackendSel) -> Result<ObsRun, String> {
+fn run_opec_obs(app: &App, args: &CliArgs, sel: FleetBackend) -> Result<ObsRun, String> {
     let (module, specs) = (app.build)();
     let out = compile(module, app.board, &specs).map_err(|e| format!("compile: {e}"))?;
     let backend = sel.dyn_backend();
@@ -157,11 +157,9 @@ fn run_aces_obs(app: &App, args: &CliArgs) -> Result<ObsRun, String> {
 /// The backends the report instruments: both when `--backend` is
 /// absent (the per-backend switch-cost comparison is the point of the
 /// report), just the named one otherwise.
-fn selected_backends(args: &CliArgs) -> Vec<BackendSel> {
-    match args.backend {
-        None => BackendSel::ALL.to_vec(),
-        Some(_) => vec![BackendSel::from_args(args).unwrap_or_default()],
-    }
+fn selected_backends(args: &CliArgs) -> Vec<FleetBackend> {
+    FleetBackend::list_from_flag(args.backend.as_deref())
+        .unwrap_or_else(|_| vec![FleetBackend::default()])
 }
 
 /// Runs every selected cell (apps × backends × {OPEC, ACES}) on scoped
@@ -170,7 +168,7 @@ pub fn collect(args: &CliArgs) -> ObsReport {
     let apps: Vec<App> = all_apps().into_iter().filter(|a| args.app_matches(a.name)).collect();
     let aces_names: Vec<&'static str> = aces_comparison_apps().iter().map(|a| a.name).collect();
     let backends = selected_backends(args);
-    let aces_available = backends.contains(&BackendSel::Armv7m);
+    let aces_available = backends.iter().any(|b| b.has_aces());
     let mut runs = Vec::new();
     let mut skipped = Vec::new();
     thread::scope(|s| {
@@ -294,7 +292,7 @@ fn render_switch_costs(report: &ObsReport) -> String {
         "Unit reloads+writes",
         "Per switch",
     ]);
-    for sel in BackendSel::ALL {
+    for sel in FleetBackend::ALL {
         let runs: Vec<_> =
             report.runs.iter().filter(|r| r.system == "opec" && r.backend == sel.name()).collect();
         if runs.is_empty() {

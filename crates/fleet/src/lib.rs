@@ -16,7 +16,7 @@
 //!   quanta on worker-resident VMs, park their dirty pages
 //!   ([`opec_vm::VmDelta`]), and re-queue; per-device metrics fold into
 //!   sharded aggregates merged at scrape time.
-//! * [`bench`] — `BENCH_fleet.json`: device-steps/sec across fleet
+//! * [`bench`](mod@bench) — `BENCH_fleet.json`: device-steps/sec across fleet
 //!   sizes, the worker-scaling curve, pooled-vs-scratch spawn latency,
 //!   and p50/p99 operation-switch latency under load.
 //! * [`http`] — the dependency-free HTTP/1.1 scrape surface:

@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use opec_core::{Armv7mBackend, DynBackend};
+use opec_core::{Armv7mBackend, Backend};
 use opec_pmp::Rv32PmpBackend;
 
 /// A firmware kind a fleet device can run.
@@ -55,13 +55,16 @@ impl DeviceKind {
     }
 }
 
-/// A protection backend a fleet device can run under.
+/// A protection backend, by name: the one selector every CLI flag,
+/// HTTP field and fleet device resolves through.
 ///
-/// Mirrors the eval crate's selector; the fleet crate sits below eval
-/// so it carries its own copy of the two-variant vocabulary.
+/// Adding a backend adds a variant here (and to [`Self::ALL`]), its
+/// name in [`Self::name`] and its constructor in [`Self::dyn_backend`];
+/// everything else programs against the `Arc<dyn Backend>` this
+/// returns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FleetBackend {
-    /// The paper's ARMv7-M MPU.
+    /// The paper's ARMv7-M MPU (the default).
     #[default]
     Armv7m,
     /// The §7 RISC-V PMP port.
@@ -69,7 +72,7 @@ pub enum FleetBackend {
 }
 
 impl FleetBackend {
-    /// Both backends, in CLI-vocabulary order.
+    /// Every backend, in CLI-vocabulary order.
     pub const ALL: [FleetBackend; 2] = [FleetBackend::Armv7m, FleetBackend::Rv32Pmp];
 
     /// The stable CLI/report label.
@@ -80,22 +83,43 @@ impl FleetBackend {
         }
     }
 
-    /// Resolves a CLI backend name; `None` means both backends.
+    /// Resolves a backend name. An unknown name is a usage error
+    /// naming the operand.
+    pub fn from_name(name: &str) -> Result<FleetBackend, String> {
+        FleetBackend::ALL.into_iter().find(|b| b.name() == name).ok_or_else(|| {
+            let names: Vec<&str> = FleetBackend::ALL.iter().map(|b| b.name()).collect();
+            let (last, rest) = names.split_last().expect("at least one backend");
+            format!("unknown backend {name:?} (expected {} or {last})", rest.join(", "))
+        })
+    }
+
+    /// Resolves a single-backend flag (`opec-eval --backend`); absence
+    /// means the default, ARMv7-M.
+    pub fn from_flag(flag: Option<&str>) -> Result<FleetBackend, String> {
+        flag.map_or(Ok(FleetBackend::default()), FleetBackend::from_name)
+    }
+
+    /// Resolves a fleet backend flag; absence means every backend.
     pub fn list_from_flag(flag: Option<&str>) -> Result<Vec<FleetBackend>, String> {
         match flag {
             None => Ok(FleetBackend::ALL.to_vec()),
-            Some("armv7m") => Ok(vec![FleetBackend::Armv7m]),
-            Some("rv32-pmp") => Ok(vec![FleetBackend::Rv32Pmp]),
-            Some(other) => Err(format!("unknown backend {other:?} (expected armv7m or rv32-pmp)")),
+            Some(name) => Ok(vec![FleetBackend::from_name(name)?]),
         }
     }
 
-    /// The erased backend the monitor stack programs against.
-    pub fn dyn_backend(self) -> Arc<dyn DynBackend> {
+    /// The backend the monitor and oracle stack program against.
+    pub fn dyn_backend(self) -> Arc<dyn Backend> {
         match self {
             FleetBackend::Armv7m => Arc::new(Armv7mBackend),
             FleetBackend::Rv32Pmp => Arc::new(Rv32PmpBackend),
         }
+    }
+
+    /// Whether the ACES comparison stack exists on this backend. ACES
+    /// compartmentalisation targets the ARMv7-M MPU; on other backends
+    /// its cells are recorded as skips, never silently dropped.
+    pub fn has_aces(self) -> bool {
+        self == FleetBackend::Armv7m
     }
 }
 
@@ -206,11 +230,29 @@ mod tests {
 
     #[test]
     fn backend_flag_resolution() {
+        // Fleet/serve: absence means every backend.
         assert_eq!(FleetBackend::list_from_flag(None).unwrap(), FleetBackend::ALL.to_vec());
         assert_eq!(
             FleetBackend::list_from_flag(Some("rv32-pmp")).unwrap(),
             vec![FleetBackend::Rv32Pmp]
         );
         assert!(FleetBackend::list_from_flag(Some("avr")).unwrap_err().contains("avr"));
+        // `opec-eval --backend`: absence means ARMv7-M.
+        assert_eq!(FleetBackend::from_flag(None).unwrap(), FleetBackend::Armv7m);
+        assert_eq!(FleetBackend::from_flag(Some("armv7m")).unwrap(), FleetBackend::Armv7m);
+        assert_eq!(FleetBackend::from_flag(Some("rv32-pmp")).unwrap(), FleetBackend::Rv32Pmp);
+        // An unknown name is a usage error naming the operand and the
+        // vocabulary.
+        let err = FleetBackend::from_flag(Some("avr")).unwrap_err();
+        assert_eq!(err, "unknown backend \"avr\" (expected armv7m or rv32-pmp)");
+        // ACES exists only on the paper's platform.
+        assert!(FleetBackend::Armv7m.has_aces());
+        assert!(!FleetBackend::Rv32Pmp.has_aces());
+        // Every backend round-trips through its name, and the backend
+        // object agrees with the selector on it.
+        for b in FleetBackend::ALL {
+            assert_eq!(FleetBackend::from_name(b.name()).unwrap(), b);
+            assert_eq!(b.dyn_backend().name(), b.name());
+        }
     }
 }

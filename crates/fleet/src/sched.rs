@@ -118,7 +118,7 @@ pub struct DeviceStatus {
 }
 
 /// One worker's published aggregate, refreshed every
-/// [`PUBLISH_QUANTA`] quanta.
+/// `PUBLISH_QUANTA` quanta.
 #[derive(Default)]
 pub struct ShardView {
     /// Merged metrics of the shard's devices (in local order).

@@ -12,13 +12,13 @@
 //!    partition and resource-dependency results plus the placement
 //!    map, deliberately independent of the MPU-config and shadowing
 //!    codegen it audits.
-//! 2. [`shadow`] — a lockstep [`opec_vm::Watcher`] that compares every
+//! 2. [`shadow`](mod@shadow) — a lockstep [`opec_vm::Watcher`] that compares every
 //!    resolved access, function entry and operation switch against the
 //!    matrix, probing the MPU model at sentinel addresses on every
 //!    switch, and reports typed [`divergence::Divergence`]s: *escapes*
 //!    (runtime allowed, matrix denies) and *spurious denials* (runtime
 //!    trapped, matrix allows).
-//! 3. [`gen`] / [`shrink`] — seeded random firmware plans pushed
+//! 3. [`gen`] / [`shrink`](mod@shrink) — seeded random firmware plans pushed
 //!    through the production pipeline, with greedy shrinking to a
 //!    minimal divergent program when the oracle fires.
 //!

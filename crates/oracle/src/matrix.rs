@@ -301,7 +301,7 @@ impl AccessMatrix {
     /// Overrides the stack-boundary rounding granularity (the ARM
     /// eighth-of-stack default) with the enforcing backend's — the
     /// backend-parameterized runners feed
-    /// `DynBackend::boundary_granularity` through here.
+    /// [`opec_core::Backend::boundary_granularity`] through here.
     pub fn with_boundary_granularity(mut self, granularity: u32) -> AccessMatrix {
         self.boundary_granularity = granularity.max(1);
         self

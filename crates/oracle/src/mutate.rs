@@ -58,7 +58,7 @@ pub enum Mutator {
 }
 
 /// Every mutator, in catalog order (the dispatch table for
-/// [`mutate_once`]).
+/// [`mutate`]).
 pub const ALL_MUTATORS: [Mutator; 6] = [
     Mutator::SpliceCall,
     Mutator::FlipGlobal,

@@ -9,7 +9,7 @@ use std::time::Instant;
 
 use opec_aces::{build_aces_image, AcesRuntime, AcesStrategy};
 use opec_armv7m::Machine;
-use opec_core::backend::{Armv7mBackend, DynBackend};
+use opec_core::backend::{Armv7mBackend, Backend};
 use opec_core::{compile, OpecMonitor, SystemPolicy};
 use opec_ir::FuncId;
 use opec_obs::{Obs, OpId};
@@ -123,7 +123,7 @@ pub fn run_opec_on(
     spec: &FirmwareSpec,
     mutate: Option<&dyn Fn(&mut SystemPolicy)>,
     budget: &RunBudget,
-    backend: Arc<dyn DynBackend>,
+    backend: Arc<dyn Backend>,
 ) -> Result<Verdict, String> {
     run_opec_cov(spec, mutate, budget, backend).map(|(v, _)| v)
 }
@@ -139,7 +139,7 @@ pub fn run_opec_cov(
     spec: &FirmwareSpec,
     mutate: Option<&dyn Fn(&mut SystemPolicy)>,
     budget: &RunBudget,
-    backend: Arc<dyn DynBackend>,
+    backend: Arc<dyn Backend>,
 ) -> Result<(Verdict, CoverageMap), String> {
     let board = spec.board();
     let module = spec.build_module();

@@ -41,7 +41,7 @@ const KEEP: usize = 64;
 /// Everything the oracle accumulated over one run.
 #[derive(Debug, Default)]
 pub struct OracleState {
-    /// Divergences, first [`KEEP`] kept verbatim.
+    /// Divergences, the first `KEEP` kept verbatim.
     pub divergences: Vec<Divergence>,
     /// Total divergences observed (may exceed `divergences.len()`).
     pub total_divergences: u64,

@@ -27,15 +27,17 @@
 //! Core peripherals have no PMP analogue — on RISC-V they are CSRs,
 //! reachable only from M-mode, which is precisely the situation OPEC's
 //! load/store emulation handles on ARM (the monitor emulates the
-//! access from the trap handler); [`PmpFault::CsrPriv`] is that trap.
+//! access from the trap handler); [`Rv32PmpBackend`] classifies that
+//! trap as [`FaultClass::ControlPriv`].
 
 #![warn(missing_docs)]
 
 use std::any::Any;
+use std::sync::Arc;
 
 use opec_armv7m::mpu::MpuDecision;
-use opec_armv7m::{Board, FaultCause, FaultInfo, Machine, MemRegion, Mode, ProtectionUnit};
-use opec_core::backend::{Backend, FaultClass, SwitchCostSummary};
+use opec_armv7m::{Board, FaultInfo, Machine, MemRegion, Mode, ProtectionUnit};
+use opec_core::backend::{Backend, FaultClass, RegionPlan};
 use opec_core::SystemPolicy;
 use opec_vm::OpId;
 
@@ -381,42 +383,6 @@ impl ProtectionUnit for PmpUnit {
     }
 }
 
-/// The PMP fault vocabulary ([`Backend::Fault`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PmpFault {
-    /// A PMP access fault (load/store/instruction): the U-mode access
-    /// matched no granting entry.
-    AccessFault,
-    /// An illegal-instruction trap from a U-mode CSR access — the
-    /// RISC-V shape of OPEC's core-peripheral emulation case.
-    CsrPriv,
-    /// Anything else (access to an unimplemented physical address).
-    Other,
-}
-
-impl From<PmpFault> for FaultClass {
-    fn from(f: PmpFault) -> FaultClass {
-        match f {
-            PmpFault::AccessFault => FaultClass::Protection,
-            PmpFault::CsrPriv => FaultClass::ControlPriv,
-            PmpFault::Other => FaultClass::Other,
-        }
-    }
-}
-
-/// The cost record of one PMP reprogramming.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PmpSwitchCost {
-    /// PMP entries (cfg + addr pairs) written.
-    pub entries: u32,
-}
-
-impl From<PmpSwitchCost> for SwitchCostSummary {
-    fn from(c: PmpSwitchCost) -> SwitchCostSummary {
-        SwitchCostSummary { writes: c.entries, cycles: u64::from(c.entries) * PMP_ENTRY_WRITE }
-    }
-}
-
 /// Reserved virtualization slots on PMP (entries 3–8: six, against the
 /// ARM MPU's four — sixteen entries leave room even with the stack
 /// pair and three background entries).
@@ -450,6 +416,28 @@ pub struct PmpPlan {
 }
 
 impl PmpPlan {
+    /// Generates the PMP entry plan for `policy`.
+    pub fn new(policy: &SystemPolicy) -> PmpPlan {
+        let sections = policy.ops.iter().map(|o| napot_rw(o.section)).collect();
+        let periph = policy
+            .ops
+            .iter()
+            .map(|o| o.periph_covers.iter().map(|c| napot_rw(*c)).collect())
+            .collect();
+        let (fb, fs) = napot_cover(policy.board.flash);
+        let flash =
+            PmpEntry { r: true, w: false, x: true, mode: PmpMode::Napot, addr: napot_addr(fb, fs) };
+        let (sb, ss) = napot_cover(policy.board.sram);
+        let sram = PmpEntry {
+            r: true,
+            w: false,
+            x: false,
+            mode: PmpMode::Napot,
+            addr: napot_addr(sb, ss),
+        };
+        PmpPlan { stack: policy.stack, sections, periph, flash, sram }
+    }
+
     /// The entry protecting `op`'s data section.
     pub fn section_entry(&self, op: OpId) -> PmpEntry {
         self.sections[usize::from(op)]
@@ -471,56 +459,85 @@ fn napot_rw(window: MemRegion) -> PmpEntry {
     PmpEntry { r: true, w: true, x: false, mode: PmpMode::Napot, addr: napot_addr(base, size) }
 }
 
+fn pmp_unit(machine: &mut Machine) -> Result<&mut PmpUnit, String> {
+    machine
+        .protection_mut()
+        .as_any_mut()
+        .downcast_mut::<PmpUnit>()
+        .ok_or_else(|| "rv32-pmp backend: machine protection unit is not the PMP".to_string())
+}
+
+impl RegionPlan for PmpPlan {
+    fn op_write_count(&self, op: OpId) -> u32 {
+        let preload = self.periph[usize::from(op)].len().min(PMP_VIRT_SLOTS);
+        // Stack pair (2) + section + Flash + SRAM background.
+        (5 + preload) as u32
+    }
+
+    fn apply_op(&self, machine: &mut Machine, op: OpId, boundary: u32) -> Result<(), String> {
+        let mut entries: Vec<(usize, PmpEntry)> = Vec::with_capacity(11);
+        // The live-stack TOR pair: entry 0 (any mode; only its addr
+        // matters) anchors the bottom, entry 1 bounds the top exactly
+        // at the boundary — no sub-region rounding.
+        entries.push((
+            0,
+            PmpEntry {
+                r: false,
+                w: false,
+                x: false,
+                mode: PmpMode::Off,
+                addr: self.stack.base >> 2,
+            },
+        ));
+        entries.push((
+            1,
+            PmpEntry { r: true, w: true, x: false, mode: PmpMode::Tor, addr: boundary >> 2 },
+        ));
+        entries.push((2, self.section_entry(op)));
+        for (i, e) in self.periph[usize::from(op)].iter().take(PMP_VIRT_SLOTS).enumerate() {
+            entries.push((PMP_VIRT_BASE + i, *e));
+        }
+        entries.push((PMP_FLASH_ENTRY, self.flash));
+        entries.push((PMP_SRAM_ENTRY, self.sram));
+        pmp_unit(machine)?.load_entries(&entries);
+        Ok(())
+    }
+
+    fn virtualize(
+        &self,
+        machine: &mut Machine,
+        op: OpId,
+        widx: usize,
+        slot: usize,
+    ) -> Result<(), String> {
+        let entry = self.periph[usize::from(op)]
+            .get(widx)
+            .copied()
+            .ok_or_else(|| format!("no prepared PMP entry for peripheral window {widx}"))?;
+        pmp_unit(machine)?.set_entry(PMP_VIRT_BASE + slot, entry);
+        Ok(())
+    }
+}
+
 /// The RISC-V PMP backend: the paper's §7 port, first-class.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Rv32PmpBackend;
 
-impl opec_vm::MachineBackend for Rv32PmpBackend {
-    const NAME: &'static str = "rv32-pmp";
-
-    fn install(&self, machine: &mut Machine) {
-        machine.set_protection(Box::new(PmpUnit::new()));
-    }
-}
-
 impl Backend for Rv32PmpBackend {
-    const NAME: &'static str = "rv32-pmp";
-    type RegionPlan = PmpPlan;
-    type Fault = PmpFault;
-    type SwitchCost = PmpSwitchCost;
+    fn name(&self) -> &'static str {
+        "rv32-pmp"
+    }
 
     fn make_machine(&self, board: Board) -> Machine {
         Machine::with_protection(board, Box::new(PmpUnit::new()))
     }
 
-    fn plan(&self, policy: &SystemPolicy) -> PmpPlan {
-        let sections = policy.ops.iter().map(|o| napot_rw(o.section)).collect();
-        let periph = policy
-            .ops
-            .iter()
-            .map(|o| o.periph_covers.iter().map(|c| napot_rw(*c)).collect())
-            .collect();
-        let (fb, fs) = napot_cover(policy.board.flash);
-        let flash =
-            PmpEntry { r: true, w: false, x: true, mode: PmpMode::Napot, addr: napot_addr(fb, fs) };
-        let (sb, ss) = napot_cover(policy.board.sram);
-        let sram = PmpEntry {
-            r: true,
-            w: false,
-            x: false,
-            mode: PmpMode::Napot,
-            addr: napot_addr(sb, ss),
-        };
-        PmpPlan { stack: policy.stack, sections, periph, flash, sram }
+    fn plan(&self, policy: &SystemPolicy) -> Arc<dyn RegionPlan> {
+        Arc::new(PmpPlan::new(policy))
     }
 
     fn enable(&self, machine: &mut Machine) -> Result<(), String> {
-        let unit = machine
-            .protection_mut()
-            .as_any_mut()
-            .downcast_mut::<PmpUnit>()
-            .ok_or("rv32-pmp backend: machine protection unit is not the PMP")?;
-        unit.enabled = true;
+        pmp_unit(machine)?.enabled = true;
         Ok(())
     }
 
@@ -536,73 +553,6 @@ impl Backend for Rv32PmpBackend {
         PMP_ENTRY_WRITE
     }
 
-    fn op_write_count(&self, plan: &PmpPlan, op: OpId) -> u32 {
-        let preload = plan.periph[usize::from(op)].len().min(PMP_VIRT_SLOTS);
-        // Stack pair (2) + section + Flash + SRAM background.
-        (5 + preload) as u32
-    }
-
-    fn apply_op(
-        &self,
-        machine: &mut Machine,
-        plan: &PmpPlan,
-        op: OpId,
-        boundary: u32,
-    ) -> Result<PmpSwitchCost, String> {
-        let mut entries: Vec<(usize, PmpEntry)> = Vec::with_capacity(11);
-        // The live-stack TOR pair: entry 0 (any mode; only its addr
-        // matters) anchors the bottom, entry 1 bounds the top exactly
-        // at the boundary — no sub-region rounding.
-        entries.push((
-            0,
-            PmpEntry {
-                r: false,
-                w: false,
-                x: false,
-                mode: PmpMode::Off,
-                addr: plan.stack.base >> 2,
-            },
-        ));
-        entries.push((
-            1,
-            PmpEntry { r: true, w: true, x: false, mode: PmpMode::Tor, addr: boundary >> 2 },
-        ));
-        entries.push((2, plan.section_entry(op)));
-        for (i, e) in plan.periph[usize::from(op)].iter().take(PMP_VIRT_SLOTS).enumerate() {
-            entries.push((PMP_VIRT_BASE + i, *e));
-        }
-        entries.push((PMP_FLASH_ENTRY, plan.flash));
-        entries.push((PMP_SRAM_ENTRY, plan.sram));
-        let unit = machine
-            .protection_mut()
-            .as_any_mut()
-            .downcast_mut::<PmpUnit>()
-            .ok_or("rv32-pmp backend: machine protection unit is not the PMP")?;
-        unit.load_entries(&entries);
-        Ok(PmpSwitchCost { entries: entries.len() as u32 })
-    }
-
-    fn virtualize(
-        &self,
-        machine: &mut Machine,
-        plan: &PmpPlan,
-        op: OpId,
-        widx: usize,
-        slot: usize,
-    ) -> Result<(), String> {
-        let entry = plan.periph[usize::from(op)]
-            .get(widx)
-            .copied()
-            .ok_or_else(|| format!("no prepared PMP entry for peripheral window {widx}"))?;
-        let unit = machine
-            .protection_mut()
-            .as_any_mut()
-            .downcast_mut::<PmpUnit>()
-            .ok_or("rv32-pmp backend: machine protection unit is not the PMP")?;
-        unit.set_entry(PMP_VIRT_BASE + slot, entry);
-        Ok(())
-    }
-
     fn stack_boundary(&self, stack: MemRegion, sp: u32) -> Option<u32> {
         // PMP's TOR bound is word-granular: round SP down to the word.
         let boundary = sp & !3;
@@ -616,20 +566,20 @@ impl Backend for Rv32PmpBackend {
         4
     }
 
-    fn classify_fault(&self, fault: &FaultInfo) -> PmpFault {
-        // The shared machine substrate raises its ARM-flavoured causes;
-        // the backend translates them into the RISC-V trap vocabulary.
-        match fault.cause {
-            FaultCause::MpuViolation => PmpFault::AccessFault,
-            FaultCause::PpbUnprivileged => PmpFault::CsrPriv,
-            FaultCause::Unmapped => PmpFault::Other,
-        }
+    fn fault_class(&self, fault: &FaultInfo) -> FaultClass {
+        // The shared machine substrate raises its ARM-flavoured causes.
+        // In RISC-V terms they are a PMP access fault, an illegal-
+        // instruction trap from a U-mode CSR access (the shape of
+        // OPEC's core-peripheral emulation case) and an access to an
+        // unimplemented physical address; the neutral classes match.
+        fault.cause.into()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use opec_armv7m::FaultCause;
 
     #[test]
     fn napot_roundtrip() {
@@ -802,12 +752,12 @@ mod tests {
     fn backend_boundary_is_word_granular() {
         let b = Rv32PmpBackend;
         let s = MemRegion::new(0x2002_F000, 0x1000);
-        assert_eq!(Backend::stack_boundary(&b, s, s.base + 0x57), Some(s.base + 0x54));
-        assert_eq!(Backend::stack_boundary(&b, s, s.end()), Some(s.end()));
+        assert_eq!(b.stack_boundary(s, s.base + 0x57), Some(s.base + 0x54));
+        assert_eq!(b.stack_boundary(s, s.end()), Some(s.end()));
         // SP at (or rounding to) the base leaves no live stack.
-        assert_eq!(Backend::stack_boundary(&b, s, s.base + 3), None);
-        assert_eq!(Backend::stack_boundary(&b, s, s.base), None);
-        assert_eq!(Backend::boundary_granularity(&b, s), 4);
+        assert_eq!(b.stack_boundary(s, s.base + 3), None);
+        assert_eq!(b.stack_boundary(s, s.base), None);
+        assert_eq!(b.boundary_granularity(s), 4);
     }
 
     #[test]
@@ -821,9 +771,8 @@ mod tests {
             pc: 0,
             write_value: None,
         };
-        assert_eq!(b.classify_fault(&fi(FaultCause::MpuViolation)), PmpFault::AccessFault);
-        assert_eq!(FaultClass::from(PmpFault::AccessFault), FaultClass::Protection);
-        assert_eq!(FaultClass::from(PmpFault::CsrPriv), FaultClass::ControlPriv);
-        assert_eq!(FaultClass::from(PmpFault::Other), FaultClass::Other);
+        assert_eq!(b.fault_class(&fi(FaultCause::MpuViolation)), FaultClass::Protection);
+        assert_eq!(b.fault_class(&fi(FaultCause::PpbUnprivileged)), FaultClass::ControlPriv);
+        assert_eq!(b.fault_class(&fi(FaultCause::Unmapped)), FaultClass::Other);
     }
 }

@@ -10,7 +10,7 @@
 //! * relocated globals keep only their relocation-entry address, since
 //!   the extra indirection is runtime behaviour OPEC pays for;
 //! * local addresses are pre-summed against the frame layout
-//!   ([`frame_layout`]), leaving a single add against `locals_base`;
+//!   (`frame_layout`), leaving a single add against `locals_base`;
 //! * the per-access cycle cost of fixed-address loads/stores is
 //!   pre-computed ([`MicroOp::LoadFixed`]);
 //! * instruction addresses are pre-materialised per block

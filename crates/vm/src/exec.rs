@@ -373,25 +373,6 @@ impl Vm<NullSupervisor> {
     }
 }
 
-/// A machine-construction backend: names the ISA variant and installs
-/// its protection unit into a machine.
-///
-/// This is the VM-facing sliver of the protection-backend abstraction
-/// (the full trait — region plans, switch costs, fault vocabularies —
-/// lives above this crate in `opec-core`): enough for
-/// [`VmBuilder::backend`] to swap the protection unit without the VM
-/// depending on any concrete ISA type, and statically typed so the
-/// choice is visible at the call site rather than smuggled through a
-/// string.
-pub trait MachineBackend {
-    /// Stable backend name (`"armv7m"`, `"rv32-pmp"`).
-    const NAME: &'static str;
-
-    /// Installs the backend's protection unit into `machine`
-    /// (reset-state: not yet enforcing).
-    fn install(&self, machine: &mut Machine);
-}
-
 impl<S: Supervisor> VmBuilder<S> {
     /// Selects the privileged runtime (changes the VM's type).
     pub fn supervisor<T: Supervisor>(self, supervisor: T) -> VmBuilder<T> {
@@ -432,14 +413,6 @@ impl<S: Supervisor> VmBuilder<S> {
     /// default) for zero-cost operation.
     pub fn obs(mut self, obs: Obs) -> VmBuilder<S> {
         self.obs = obs;
-        self
-    }
-
-    /// Installs `backend`'s protection unit into the machine (replacing
-    /// the ARMv7-M MPU the machine boots with). The machine keeps its
-    /// memory image; only the protection model changes.
-    pub fn backend<B: MachineBackend>(mut self, backend: B) -> VmBuilder<S> {
-        backend.install(&mut self.machine);
         self
     }
 
@@ -512,7 +485,7 @@ impl<S: Supervisor> Vm<S> {
     }
 
     /// The name of the protection unit guarding this VM's machine
-    /// (`"armv7m-mpu"` unless [`VmBuilder::backend`] installed another).
+    /// (`"armv7m-mpu"` unless the machine was built with another).
     pub fn backend_name(&self) -> &'static str {
         self.machine.protection().name()
     }
@@ -1324,7 +1297,7 @@ impl<S: Supervisor> Vm<S> {
                 // these ops touch only the frame's registers and the
                 // clock, so the per-op frame lookup (and the shared
                 // dispatch below) is skipped for the whole run. Charge
-                // order matches `exec_micro_op` exactly.
+                // order mirrors `exec_inst` exactly.
                 {
                     let machine = &mut self.machine;
                     let stats = &mut self.stats;
@@ -1418,39 +1391,19 @@ impl<S: Supervisor> Vm<S> {
         (done, Ok(StepResult::Continue))
     }
 
-    /// Executes one micro-op. Charge order, fault order and event
+    /// Executes one micro-op that needs more than the frame's registers
+    /// (memory, calls, SVCs). Charge order, fault order and event
     /// emission mirror [`Vm::exec_inst`] exactly — the lockstep checks
     /// depend on it.
     fn exec_micro_op(&mut self, op: MicroOp, df: &DecodedFunc) -> Result<MicroStep, VmError> {
         match op {
-            MicroOp::Mov { dst, src } => {
-                self.charge(costs::ALU);
-                let v = self.op_value(&src);
-                self.set_reg(dst, v);
-            }
-            MicroOp::Un { dst, op, src } => {
-                self.charge(costs::ALU);
-                let v = self.op_value(&src);
-                let r = match op {
-                    UnOp::Neg => v.wrapping_neg(),
-                    UnOp::Not => !v,
-                };
-                self.set_reg(dst, r);
-            }
-            MicroOp::Bin { dst, op, lhs, rhs } => {
-                self.charge(costs::ALU);
-                let a = self.op_value(&lhs);
-                let b = self.op_value(&rhs);
-                self.set_reg(dst, eval_bin(op, a, b));
-            }
-            MicroOp::AddrImm { dst, addr } => {
-                self.charge(costs::ALU);
-                self.set_reg(dst, addr);
-            }
-            MicroOp::AddrLocal { dst, off } => {
-                self.charge(costs::ALU);
-                let base = self.frames.last().expect("no active frame").locals_base;
-                self.set_reg(dst, base + off);
+            MicroOp::Mov { .. }
+            | MicroOp::Un { .. }
+            | MicroOp::Bin { .. }
+            | MicroOp::AddrImm { .. }
+            | MicroOp::AddrLocal { .. }
+            | MicroOp::Nop => {
+                unreachable!("register-only micro-ops run inline in `step_decoded`")
             }
             MicroOp::AddrReloc { dst, entry_addr, offset } => {
                 self.charge(costs::ALU);
@@ -1564,9 +1517,6 @@ impl<S: Supervisor> Vm<S> {
                 result.map_err(|trap| VmError::Aborted { trap, pc: self.machine.current_pc })?;
             }
             MicroOp::Halt => return Ok(MicroStep::Halted),
-            MicroOp::Nop => {
-                self.charge(costs::ALU);
-            }
         }
         Ok(MicroStep::Next)
     }

@@ -47,8 +47,7 @@ pub use opec_obs as obs;
 
 pub use decode::{decode_func, DecodedBlock, DecodedFunc, DecodedTerm, MicroOp};
 pub use exec::{
-    ContainmentMode, ExecMode, MachineBackend, RunOutcome, Vm, VmBuilder, VmDelta, VmError,
-    VmSnapshot, VmStats,
+    ContainmentMode, ExecMode, RunOutcome, Vm, VmBuilder, VmDelta, VmError, VmSnapshot, VmStats,
 };
 pub use image::{link_baseline, GlobalSlot, ImageError, LoadedImage, OpId};
 pub use inject::{InjectAction, InjectOutcome, Injector, ScheduledInjector};

@@ -1,26 +1,26 @@
 //! Portability check (paper §7): the PMP backend enforces the same
 //! decisions as the ARM MPU backend — address by address, over a
 //! compiled application's real policy, with both protection units
-//! programmed through the same [`Backend`] switch path the monitor
+//! programmed through the same [`RegionPlan`] switch path the monitor
 //! uses.
 
 use opec::prelude::*;
 use opec_armv7m::mpu::MpuDecision;
 use opec_armv7m::Machine;
-use opec_core::backend::{Armv7mBackend, Backend};
-use opec_pmp::Rv32PmpBackend;
+use opec_core::backend::{ArmRegionPlan, Armv7mBackend, Backend, RegionPlan};
+use opec_pmp::{PmpPlan, Rv32PmpBackend};
 
-/// Programs a fresh machine for `op` through `backend`'s switch path,
+/// Programs a fresh machine for `op` through `plan`'s switch path,
 /// exactly as `OpecMonitor::apply_protection` does.
-fn machine_for<B: Backend>(
-    backend: &B,
+fn machine_for(
+    backend: &dyn Backend,
+    plan: &dyn RegionPlan,
     policy: &opec::core::SystemPolicy,
     op: u8,
     boundary: u32,
 ) -> Machine {
     let mut machine = backend.make_machine(policy.board);
-    let plan = backend.plan(policy);
-    backend.apply_op(&mut machine, &plan, op, boundary).unwrap();
+    plan.apply_op(&mut machine, op, boundary).unwrap();
     backend.enable(&mut machine).unwrap();
     machine
 }
@@ -37,8 +37,8 @@ fn pmp_backend_matches_the_arm_mpu_for_pinlock() {
         // on the first switch). PMP can do better — see the byte-exact
         // test below — but lockstep comparison needs common ground.
         let boundary = policy.stack.base + 7 * (policy.stack.size / 8);
-        let arm = machine_for(&Armv7mBackend, policy, op, boundary);
-        let pmp = machine_for(&Rv32PmpBackend, policy, op, boundary);
+        let arm = machine_for(&Armv7mBackend, &ArmRegionPlan::new(policy), policy, op, boundary);
+        let pmp = machine_for(&Rv32PmpBackend, &PmpPlan::new(policy), policy, op, boundary);
 
         // Probe addresses across every interesting window.
         let mut probes: Vec<u32> = vec![
@@ -86,7 +86,7 @@ fn pmp_stack_protection_is_byte_exact() {
     let out = opec::core::compile(module, Board::stm32f4_discovery(), &specs).unwrap();
     let policy = &out.policy;
     let boundary = policy.stack.base + 0x123 * 4; // arbitrary, word-aligned
-    let machine = machine_for(&Rv32PmpBackend, policy, 1, boundary);
+    let machine = machine_for(&Rv32PmpBackend, &PmpPlan::new(policy), policy, 1, boundary);
     let unit = machine.protection();
     assert_eq!(unit.check_data(boundary - 4, 4, true, Mode::Unprivileged), MpuDecision::Allowed);
     assert_eq!(unit.check_data(boundary, 4, true, Mode::Unprivileged), MpuDecision::Denied);
@@ -98,12 +98,12 @@ fn pmp_stack_protection_is_byte_exact() {
 fn pmp_virtualization_grants_on_demand() {
     // The PMP backend's reserved entries swap peripheral covers in
     // just like ARM MPU virtualization (paper §5.2), through the same
-    // Backend::virtualize surface.
+    // RegionPlan::virtualize surface.
     let (module, specs) = opec_apps::programs::pinlock::build();
     let out = opec::core::compile(module, Board::stm32f4_discovery(), &specs).unwrap();
     let policy = &out.policy;
     let backend = Rv32PmpBackend;
-    let plan = backend.plan(policy);
+    let plan = PmpPlan::new(policy);
     // Find an operation with at least one peripheral cover.
     let Some(op) = (0..policy.ops.len() as u8).find(|&o| !policy.op(o).periph_covers.is_empty())
     else {
@@ -113,7 +113,7 @@ fn pmp_virtualization_grants_on_demand() {
     // Program with no peripheral preload by using a plan-driven apply
     // then clobbering the virt entries: simplest is to virtualize into
     // a different slot and check the window opens there.
-    backend.apply_op(&mut machine, &plan, op, policy.stack.end()).unwrap();
+    plan.apply_op(&mut machine, op, policy.stack.end()).unwrap();
     backend.enable(&mut machine).unwrap();
     let window = policy.op(op).periph_windows[0];
     assert_eq!(
@@ -123,7 +123,7 @@ fn pmp_virtualization_grants_on_demand() {
     // Re-virtualizing the same window into the last slot keeps it
     // reachable (lowest-entry-wins means the preloaded entry already
     // grants; the call must still succeed and program the slot).
-    backend.virtualize(&mut machine, &plan, op, 0, backend.virt_slots() - 1).unwrap();
+    plan.virtualize(&mut machine, op, 0, backend.virt_slots() - 1).unwrap();
     let unit = machine.protection().as_any().downcast_ref::<opec_pmp::PmpUnit>().unwrap();
     let slot_entry = unit.pmp.entry(usize::from(backend.virt_slot_label(backend.virt_slots() - 1)));
     assert_eq!(slot_entry, plan.periph_entries(op)[0]);
