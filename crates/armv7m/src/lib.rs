@@ -38,10 +38,10 @@ pub mod thumb;
 pub use board::Board;
 pub use clock::{costs, Clock};
 pub use exception::{AccessKind, Exception, FaultCause, FaultInfo};
-pub use machine::{copy_device_state, Machine, MachineDelta, MachineSnapshot, MmioDevice};
+pub use machine::{DeviceState, Machine, MachineDelta, MachineSnapshot, MmioDevice};
 pub use mem::{AddressClass, MemRegion};
 pub use mpu::{AccessPerm, Mpu, MpuRegion, RegionAttr, MPU_MIN_REGION_SIZE, MPU_NUM_REGIONS};
-pub use prot::ProtectionUnit;
+pub use prot::{ProtectionUnit, UnitState};
 
 /// Processor privilege level.
 ///

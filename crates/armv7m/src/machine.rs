@@ -14,7 +14,10 @@
 //! with [`Mode::Privileged`], exactly as the paper's monitor is ordinary
 //! privileged code.
 
+use std::any::Any;
 use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::board::Board;
 use crate::clock::Clock;
@@ -36,7 +39,10 @@ use crate::Mode;
 /// [`Machine::add_device`]). A device that schedules something (a byte
 /// arriving, a busy period ending) records the deadline in local time
 /// and compares it against `now` when asked.
-pub trait MmioDevice {
+///
+/// Devices are `Clone`: the snapshot hooks of [`DeviceState`] derive
+/// from it.
+pub trait MmioDevice: DeviceState {
     /// Stable device name (used for peripheral address maps and traces).
     fn name(&self) -> &str;
     /// The address window the device occupies.
@@ -52,46 +58,60 @@ pub trait MmioDevice {
     fn irq_pending(&self, _now: u64) -> bool {
         false
     }
+}
+
+/// Snapshot hooks every [`MmioDevice`] gets from its `Clone` impl.
+///
+/// Blanket-implemented for every `T: MmioDevice + Clone + 'static`, so
+/// a device model only derives `Clone`; a device that cannot be cloned
+/// cannot be registered at all, and snapshotting never fails.
+pub trait DeviceState {
     /// Downcasting hook so hosts (test harnesses, workload drivers) can
     /// reach a device's typed interface, e.g. to feed a UART.
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
-    /// Clones the device's full state for snapshotting. The default
-    /// returns `None`, which makes [`Machine::snapshot`] fail with the
-    /// device's name: a device that cannot reproduce its state must
-    /// opt out of snapshot/restore loudly, not silently desync.
-    fn clone_box(&self) -> Option<Box<dyn MmioDevice>> {
-        None
+    fn as_any(&self) -> &dyn Any;
+    /// Mutable downcasting hook.
+    fn as_any_mut(&mut self) -> &mut dyn Any;
+    /// Clones the device's full state for snapshotting.
+    fn clone_box(&self) -> Box<dyn MmioDevice>;
+    /// Copies `src`'s state into `self` in place (reusing buffers where
+    /// `Clone::clone_from` allows), returning `false` when the concrete
+    /// types differ. Restores run this every spawn/quantum of a
+    /// snapshot-pooled fleet, which keeps them in the microsecond range.
+    fn copy_state_from(&mut self, src: &dyn MmioDevice) -> bool;
+}
+
+impl<T: MmioDevice + Clone + 'static> DeviceState for T {
+    fn as_any(&self) -> &dyn Any {
+        self
     }
-    /// Borrowing downcast hook for the restore fast path. Devices that
-    /// support in-place state copy return `Some(self)`; the default
-    /// opts out, which routes restores through [`Self::clone_box`].
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        None
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
     }
-    /// Copies `src`'s state into `self` without allocating, returning
-    /// `false` when the concrete types differ (or the device opts
-    /// out). [`Machine::restore`] and [`Machine::apply_delta`] run
-    /// every spawn/quantum of a snapshot-pooled fleet, so reusing the
-    /// existing boxes instead of re-cloning each device is what keeps
-    /// restore in the microsecond range for small firmwares.
-    fn copy_state_from(&mut self, _src: &dyn MmioDevice) -> bool {
-        false
+    fn clone_box(&self) -> Box<dyn MmioDevice> {
+        Box::new(self.clone())
+    }
+    fn copy_state_from(&mut self, src: &dyn MmioDevice) -> bool {
+        match src.as_any().downcast_ref::<T>() {
+            Some(s) => {
+                self.clone_from(s);
+                true
+            }
+            None => false,
+        }
     }
 }
 
-/// The standard [`MmioDevice::copy_state_from`] body for a `Clone`
-/// device: borrow-downcast `src` to `T` and `clone_from` it in place
-/// (reusing `T`'s buffers where its `Clone` impl allows).
-pub fn copy_device_state<T: MmioDevice + Clone + 'static>(
-    dst: &mut T,
-    src: &dyn MmioDevice,
-) -> bool {
-    match src.as_any().and_then(|a| a.downcast_ref::<T>()) {
-        Some(s) => {
-            dst.clone_from(s);
-            true
+/// `clone_from` copies in place when the concrete types match and
+/// replaces the box with a clone otherwise, so `Vec::clone_from` over a
+/// device list restores each device independently.
+impl Clone for Box<dyn MmioDevice> {
+    fn clone(&self) -> Self {
+        self.clone_box()
+    }
+    fn clone_from(&mut self, src: &Self) {
+        if !self.copy_state_from(src.as_ref()) {
+            *self = src.clone_box();
         }
-        None => false,
     }
 }
 
@@ -115,61 +135,105 @@ pub struct MachineStats {
 /// handful of `memcpy`s, large enough that the bitmap stays tiny.
 const SNAP_PAGE: usize = 256;
 
-/// A full machine checkpoint taken by [`Machine::snapshot`].
-///
-/// Holds golden copies of Flash, SRAM, devices (with the device clock
-/// and attach epochs), MPU, clock and counters.
+/// Snapshot ids are unique process-wide, so a delta parked on one
+/// machine can never pass the lineage check of another.
+static NEXT_SNAP_ID: AtomicU64 = AtomicU64::new(1);
+
+/// Everything but memory that a checkpoint carries: registers,
+/// counters, protection unit, PPB registers, devices and device time.
+/// [`MachineSnapshot`] and [`MachineDelta`] share it, so the two differ
+/// only in how they hold memory.
+struct MachineState {
+    mode: Mode,
+    clock: Clock,
+    current_pc: u32,
+    stats: MachineStats,
+    prot: Box<dyn ProtectionUnit>,
+    ppb_regs: HashMap<u32, u32>,
+    devices: Vec<Box<dyn MmioDevice>>,
+    dev_now: u64,
+    dev_epochs: Vec<u64>,
+}
+
+impl MachineState {
+    fn capture(m: &Machine) -> MachineState {
+        MachineState {
+            mode: m.mode,
+            clock: m.clock.clone(),
+            current_pc: m.current_pc,
+            stats: m.stats,
+            prot: m.prot.clone(),
+            ppb_regs: m.ppb_regs.clone(),
+            devices: m.devices.clone(),
+            dev_now: m.dev_now,
+            dev_epochs: m.dev_epochs.clone(),
+        }
+    }
+
+    /// Writes the state back, in place where the types allow (see the
+    /// `clone_from` of `Box<dyn MmioDevice>` and `Box<dyn ProtectionUnit>`).
+    /// Destructures `self` so that a new field cannot be left out.
+    fn apply(&self, m: &mut Machine) {
+        let MachineState {
+            mode,
+            clock,
+            current_pc,
+            stats,
+            prot,
+            ppb_regs,
+            devices,
+            dev_now,
+            dev_epochs,
+        } = self;
+        m.mode = *mode;
+        m.clock.clone_from(clock);
+        m.current_pc = *current_pc;
+        m.stats = *stats;
+        m.prot.clone_from(prot);
+        m.ppb_regs.clone_from(ppb_regs);
+        m.devices.clone_from(devices);
+        m.dev_now = *dev_now;
+        m.dev_epochs.clone_from(dev_epochs);
+    }
+}
+
+/// A full machine checkpoint taken by [`Machine::snapshot`]: golden
+/// copies of Flash and SRAM plus the register-level state.
 /// [`Machine::restore`] copies back only the pages dirtied since the
 /// snapshot was taken (tracked by a write barrier in the store path), so
 /// a restore after a short run costs microseconds, not a full memcpy of
 /// the address space.
 pub struct MachineSnapshot {
     id: u64,
-    mode: Mode,
-    clock: Clock,
-    current_pc: u32,
-    stats: MachineStats,
-    prot: Box<dyn ProtectionUnit>,
-    ppb_regs: HashMap<u32, u32>,
+    state: MachineState,
     flash: Vec<u8>,
     sram: Vec<u8>,
-    devices: Vec<Box<dyn MmioDevice>>,
-    dev_now: u64,
-    dev_epochs: Vec<u64>,
 }
 
 /// The divergence of a machine from the golden snapshot its dirty
 /// bitmap is armed against, captured by [`Machine::delta`].
 ///
 /// Where [`MachineSnapshot`] holds full golden copies of Flash and
-/// SRAM, a delta holds only the dirtied pages plus register-level
-/// state, so thousands of parked logical devices forked from one
-/// golden image cost a few pages each instead of a full address space.
+/// SRAM, a delta holds only the dirtied pages plus the same
+/// register-level state, so thousands of parked logical devices forked
+/// from one golden image cost a few pages each instead of a full
+/// address space.
 pub struct MachineDelta {
     /// Snapshot id the pages are relative to; [`Machine::apply_delta`]
     /// refuses a machine armed against any other snapshot.
     snap_id: u64,
-    mode: Mode,
-    clock: Clock,
-    current_pc: u32,
-    stats: MachineStats,
-    prot: Box<dyn ProtectionUnit>,
-    ppb_regs: HashMap<u32, u32>,
+    state: MachineState,
     /// `(byte offset, page contents)` for each dirty Flash page.
     flash_pages: Vec<(usize, Vec<u8>)>,
     /// `(byte offset, page contents)` for each dirty SRAM page.
     sram_pages: Vec<(usize, Vec<u8>)>,
-    devices: Vec<Box<dyn MmioDevice>>,
-    dev_now: u64,
-    dev_epochs: Vec<u64>,
 }
 
 impl MachineDelta {
     /// Total bytes of page payload the delta carries — the per-device
     /// memory cost a fleet pays to keep this device parked.
     pub fn page_bytes(&self) -> usize {
-        self.flash_pages.iter().map(|(_, p)| p.len()).sum::<usize>()
-            + self.sram_pages.iter().map(|(_, p)| p.len()).sum::<usize>()
+        self.flash_pages.iter().chain(&self.sram_pages).map(|(_, p)| p.len()).sum()
     }
 }
 
@@ -207,7 +271,6 @@ pub struct Machine {
     sram_dirty: Vec<u64>,
     /// Id of the snapshot the dirty bits are relative to (0 = none).
     snap_id: u64,
-    next_snap_id: u64,
 }
 
 impl Machine {
@@ -236,7 +299,6 @@ impl Machine {
             flash_dirty: Vec::new(),
             sram_dirty: Vec::new(),
             snap_id: 0,
-            next_snap_id: 1,
         }
     }
 
@@ -290,37 +352,26 @@ impl Machine {
         }
     }
 
-    /// Captures a full checkpoint of the machine and arms dirty-page
-    /// tracking so a later [`Machine::restore`] of this snapshot copies
-    /// back only what the run touched. Fails if any registered device
-    /// does not implement [`MmioDevice::clone_box`].
-    pub fn snapshot(&mut self) -> Result<MachineSnapshot, String> {
-        let mut devices = Vec::with_capacity(self.devices.len());
-        for d in &self.devices {
-            devices.push(
-                d.clone_box()
-                    .ok_or_else(|| format!("device {} does not support snapshotting", d.name()))?,
-            );
-        }
-        let id = self.next_snap_id;
-        self.next_snap_id += 1;
+    /// Points dirty-page tracking at snapshot `id` with every page
+    /// clean.
+    fn arm(&mut self, id: u64) {
         self.snap_id = id;
         self.flash_dirty = vec![0; self.flash.len().div_ceil(SNAP_PAGE).div_ceil(64)];
         self.sram_dirty = vec![0; self.sram.len().div_ceil(SNAP_PAGE).div_ceil(64)];
-        Ok(MachineSnapshot {
+    }
+
+    /// Captures a full checkpoint of the machine and arms dirty-page
+    /// tracking so a later [`Machine::restore`] of this snapshot copies
+    /// back only what the run touched.
+    pub fn snapshot(&mut self) -> MachineSnapshot {
+        let id = NEXT_SNAP_ID.fetch_add(1, Ordering::Relaxed);
+        self.arm(id);
+        MachineSnapshot {
             id,
-            mode: self.mode,
-            clock: self.clock.clone(),
-            current_pc: self.current_pc,
-            stats: self.stats,
-            prot: self.prot.clone_unit(),
-            ppb_regs: self.ppb_regs.clone(),
+            state: MachineState::capture(self),
             flash: self.flash.clone(),
             sram: self.sram.clone(),
-            devices,
-            dev_now: self.dev_now,
-            dev_epochs: self.dev_epochs.clone(),
-        })
+        }
     }
 
     /// Rolls the machine back to `snap`. When `snap` is the snapshot the
@@ -335,79 +386,36 @@ impl Machine {
         } else {
             self.flash.copy_from_slice(&snap.flash);
             self.sram.copy_from_slice(&snap.sram);
-            self.flash_dirty = vec![0; self.flash.len().div_ceil(SNAP_PAGE).div_ceil(64)];
-            self.sram_dirty = vec![0; self.sram.len().div_ceil(SNAP_PAGE).div_ceil(64)];
-            self.snap_id = snap.id;
+            self.arm(snap.id);
         }
-        self.mode = snap.mode;
-        self.clock = snap.clock.clone();
-        self.current_pc = snap.current_pc;
-        self.stats = snap.stats;
-        if !self.prot.copy_unit_from(snap.prot.as_ref()) {
-            self.prot = snap.prot.clone_unit();
-        }
-        self.ppb_regs.clone_from(&snap.ppb_regs);
-        self.restore_devices(&snap.devices, "snapshotted");
-        self.dev_now = snap.dev_now;
-        self.dev_epochs.clone_from(&snap.dev_epochs);
+        snap.state.apply(self);
     }
 
-    /// Restores device state from `src` — in place when every device
-    /// supports [`MmioDevice::copy_state_from`] (no allocation, the
-    /// hot fleet path), falling back to a full re-clone otherwise.
-    /// The fallback re-clones every device, so a partial in-place pass
-    /// cannot leave mixed state behind.
-    fn restore_devices(&mut self, src: &[Box<dyn MmioDevice>], what: &str) {
-        let mut in_place = self.devices.len() == src.len();
-        if in_place {
-            for (dst, s) in self.devices.iter_mut().zip(src) {
-                if !dst.copy_state_from(s.as_ref()) {
-                    in_place = false;
-                    break;
-                }
-            }
-        }
-        if !in_place {
-            self.devices.clear();
-            for d in src {
-                self.devices.push(
-                    d.clone_box().unwrap_or_else(|| panic!("{what} device must stay cloneable")),
-                );
-            }
-        }
+    /// Byte ranges of the pages marked in `bits`, clipped to `len`.
+    fn dirty_ranges(bits: &[u64], len: usize) -> impl Iterator<Item = Range<usize>> + '_ {
+        bits.iter()
+            .enumerate()
+            .flat_map(|(w, &word)| {
+                let mut v = word;
+                std::iter::from_fn(move || {
+                    let b = (v != 0).then(|| v.trailing_zeros() as usize)?;
+                    v &= v - 1;
+                    Some((w * 64 + b) * SNAP_PAGE)
+                })
+            })
+            .filter(move |&start| start < len)
+            .map(move |start| start..(start + SNAP_PAGE).min(len))
     }
 
     fn copy_dirty(dst: &mut [u8], golden: &[u8], bits: &mut [u64]) {
-        for (w, word) in bits.iter_mut().enumerate() {
-            let mut v = *word;
-            while v != 0 {
-                let b = v.trailing_zeros() as usize;
-                v &= v - 1;
-                let start = (w * 64 + b) * SNAP_PAGE;
-                let end = (start + SNAP_PAGE).min(dst.len());
-                if start < dst.len() {
-                    dst[start..end].copy_from_slice(&golden[start..end]);
-                }
-            }
-            *word = 0;
+        for r in Self::dirty_ranges(bits, dst.len()) {
+            dst[r.clone()].copy_from_slice(&golden[r]);
         }
+        bits.fill(0);
     }
 
     fn dirty_pages(mem: &[u8], bits: &[u64]) -> Vec<(usize, Vec<u8>)> {
-        let mut pages = Vec::new();
-        for (w, word) in bits.iter().enumerate() {
-            let mut v = *word;
-            while v != 0 {
-                let b = v.trailing_zeros() as usize;
-                v &= v - 1;
-                let start = (w * 64 + b) * SNAP_PAGE;
-                if start < mem.len() {
-                    let end = (start + SNAP_PAGE).min(mem.len());
-                    pages.push((start, mem[start..end].to_vec()));
-                }
-            }
-        }
-        pages
+        Self::dirty_ranges(bits, mem.len()).map(|r| (r.start, mem[r].to_vec())).collect()
     }
 
     /// Captures the machine's divergence from the armed snapshot: the
@@ -415,40 +423,25 @@ impl Machine {
     /// bitmap is read without being cleared, so a subsequent
     /// [`Machine::restore`] of the golden snapshot undoes exactly these
     /// pages — the park half of the fleet scheduler's park/unpark
-    /// cycle. Fails when no snapshot is armed or a device cannot clone
-    /// its state.
+    /// cycle. Fails when no snapshot is armed.
     pub fn delta(&self) -> Result<MachineDelta, String> {
         if self.snap_id == 0 {
             return Err("delta requires an armed snapshot (call snapshot first)".into());
         }
-        let mut devices = Vec::with_capacity(self.devices.len());
-        for d in &self.devices {
-            devices.push(
-                d.clone_box()
-                    .ok_or_else(|| format!("device {} does not support snapshotting", d.name()))?,
-            );
-        }
         Ok(MachineDelta {
             snap_id: self.snap_id,
-            mode: self.mode,
-            clock: self.clock.clone(),
-            current_pc: self.current_pc,
-            stats: self.stats,
-            prot: self.prot.clone_unit(),
-            ppb_regs: self.ppb_regs.clone(),
+            state: MachineState::capture(self),
             flash_pages: Self::dirty_pages(&self.flash, &self.flash_dirty),
             sram_pages: Self::dirty_pages(&self.sram, &self.sram_dirty),
-            devices,
-            dev_now: self.dev_now,
-            dev_epochs: self.dev_epochs.clone(),
         })
     }
 
     /// Re-applies a delta captured by [`Machine::delta`] onto a machine
     /// freshly restored to the same golden snapshot (the unpark half).
     /// Pages are re-marked dirty so the next restore-to-golden undoes
-    /// them again. Fails on a snapshot-id mismatch — applying a delta
-    /// over the wrong golden image would silently corrupt device state.
+    /// them again. Fails on a snapshot-id mismatch, before touching
+    /// anything — applying a delta over the wrong golden image would
+    /// silently corrupt device state.
     pub fn apply_delta(&mut self, d: &MachineDelta) -> Result<(), String> {
         if self.snap_id != d.snap_id {
             return Err(format!(
@@ -464,17 +457,7 @@ impl Machine {
             self.sram[*start..start + page.len()].copy_from_slice(page);
             Self::mark_dirty(&mut self.sram_dirty, *start, page.len());
         }
-        self.mode = d.mode;
-        self.clock = d.clock.clone();
-        self.current_pc = d.current_pc;
-        self.stats = d.stats;
-        if !self.prot.copy_unit_from(d.prot.as_ref()) {
-            self.prot = d.prot.clone_unit();
-        }
-        self.ppb_regs.clone_from(&d.ppb_regs);
-        self.restore_devices(&d.devices, "parked");
-        self.dev_now = d.dev_now;
-        self.dev_epochs.clone_from(&d.dev_epochs);
+        d.state.apply(self);
         Ok(())
     }
 
@@ -869,14 +852,12 @@ mod tests {
 
     #[test]
     fn device_routing() {
+        #[derive(Clone)]
         struct Reg {
             region: MemRegion,
             value: u32,
         }
         impl MmioDevice for Reg {
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
             fn name(&self) -> &str {
                 "reg"
             }
@@ -913,18 +894,6 @@ mod tests {
         last: u64,
     }
     impl MmioDevice for Stamp {
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
-        fn clone_box(&self) -> Option<Box<dyn MmioDevice>> {
-            Some(Box::new(self.clone()))
-        }
-        fn as_any(&self) -> Option<&dyn std::any::Any> {
-            Some(self)
-        }
-        fn copy_state_from(&mut self, src: &dyn MmioDevice) -> bool {
-            copy_device_state(self, src)
-        }
         fn name(&self) -> &str {
             "stamp"
         }
@@ -992,7 +961,7 @@ mod tests {
         m.charge(10);
         m.add_device(stamp(0x4000_0000)).unwrap();
         m.charge(5);
-        let golden = m.snapshot().unwrap();
+        let golden = m.snapshot();
         m.charge(20);
         let parked = m.delta().unwrap();
         m.restore(&golden);
@@ -1001,11 +970,89 @@ mod tests {
         m.apply_delta(&parked).unwrap();
         assert_eq!(m.device_clock(), 35);
         assert_eq!(m.load(0x4000_0000, 4, Mode::Privileged).unwrap(), 25);
-        // A restore that must re-clone the device list brings the
-        // attach epochs back with it.
+        // A restore into a machine without the device clones it in,
+        // attach epoch included.
         let mut other = machine();
         other.restore(&golden);
         assert_eq!(other.load(0x4000_0000, 4, Mode::Privileged).unwrap(), 5);
+    }
+
+    /// A second device type with a distinct name, for restores that
+    /// meet a different concrete type at the same index.
+    #[derive(Clone)]
+    struct Constant {
+        base: u32,
+    }
+    impl MmioDevice for Constant {
+        fn name(&self) -> &str {
+            "constant"
+        }
+        fn region(&self) -> MemRegion {
+            MemRegion::new(self.base, 0x400)
+        }
+        fn read(&mut self, _offset: u32, _len: u32, _now: u64) -> u32 {
+            0xC0DE
+        }
+        fn write(&mut self, _offset: u32, _len: u32, _value: u32, _now: u64) {}
+    }
+
+    #[test]
+    fn restore_replaces_only_the_device_whose_type_differs() {
+        let mut golden_m = machine();
+        golden_m.add_device(stamp(0x4000_0000)).unwrap();
+        golden_m.charge(10);
+        golden_m.add_device(stamp(0x4000_0400)).unwrap();
+        golden_m.charge(5);
+        let golden = golden_m.snapshot();
+
+        // Same device count, but a different type (attached at another
+        // device time) at index 1.
+        let mut m = machine();
+        m.add_device(stamp(0x4000_0000)).unwrap();
+        m.charge(100);
+        m.add_device(Box::new(Constant { base: 0x4000_0400 })).unwrap();
+        let first =
+            |m: &mut Machine| std::ptr::from_mut(m.device_mut("stamp").unwrap()).cast::<u8>();
+        let kept = first(&mut m);
+        m.restore(&golden);
+        assert!(m.device_mut("constant").is_none());
+        // Index 0 matched its type and was copied in place.
+        assert_eq!(first(&mut m), kept);
+        // Index 1 is the snapshotted Stamp with its attach epoch (10).
+        assert_eq!(m.device_clock(), 15);
+        assert_eq!(m.load(0x4000_0000, 4, Mode::Privileged).unwrap(), 15);
+        assert_eq!(m.load(0x4000_0400, 4, Mode::Privileged).unwrap(), 5);
+    }
+
+    #[test]
+    fn delta_requires_an_armed_snapshot() {
+        let m = machine();
+        let err = m.delta().err().expect("delta without a snapshot must fail");
+        assert!(err.contains("armed snapshot"), "{err}");
+    }
+
+    #[test]
+    fn apply_delta_refuses_another_lineage_and_touches_nothing() {
+        const A: u32 = 0x2000_0000;
+        let mut m = machine();
+        m.add_device(stamp(0x4000_0000)).unwrap();
+        let _first = m.snapshot();
+        m.poke(A, 4, 1);
+        m.charge(7);
+        let parked = m.delta().unwrap();
+        // A second snapshot of the same machine re-arms the lineage.
+        let _second = m.snapshot();
+        m.poke(A, 4, 2);
+        let err = m.apply_delta(&parked).unwrap_err();
+        assert!(err.contains("relative to snapshot"), "{err}");
+        assert_eq!(m.peek(A, 4), Some(2));
+        assert_eq!(m.device_clock(), 7);
+        // So does a snapshot of another machine, even its first one.
+        let mut other = machine();
+        let _golden = other.snapshot();
+        assert!(other.apply_delta(&parked).is_err());
+        assert_eq!(other.peek(A, 4), Some(0));
+        assert_eq!(other.device_clock(), 0);
     }
 
     #[test]

@@ -410,10 +410,6 @@ impl crate::prot::ProtectionUnit for Mpu {
         }
     }
 
-    fn clone_unit(&self) -> Box<dyn crate::prot::ProtectionUnit> {
-        Box::new(self.clone())
-    }
-
     fn copy_unit_from(&mut self, src: &dyn crate::prot::ProtectionUnit) -> bool {
         match src.as_any().downcast_ref::<Mpu>() {
             Some(s) => {
@@ -426,14 +422,6 @@ impl crate::prot::ProtectionUnit for Mpu {
             }
             None => false,
         }
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 

@@ -27,7 +27,9 @@ use crate::Mode;
 /// PMP): they answer permission queries and expose enough hooks for the
 /// machine to snapshot them and for privileged code to reach their
 /// memory-mapped/CSR control state. They never route memory themselves.
-pub trait ProtectionUnit {
+/// Units are `Clone`: [`UnitState`] derives the clone and downcast
+/// hooks from it.
+pub trait ProtectionUnit: UnitState {
     /// Stable unit name (`"armv7m-mpu"`, `"rv32-pmp"`), used in
     /// diagnostics and reports.
     fn name(&self) -> &'static str;
@@ -51,22 +53,55 @@ pub trait ProtectionUnit {
     /// window and ignores this). Called for every PPB register write.
     fn ppb_ctrl_write(&mut self, _addr: u32, _value: u32) {}
 
-    /// Clones the unit's full state for machine snapshots.
-    fn clone_unit(&self) -> Box<dyn ProtectionUnit>;
-
     /// Copies `src`'s enforcement state into `self` without
     /// allocating, returning `false` when the concrete types differ.
-    /// Snapshot restores run this every device spawn of a pooled
-    /// fleet; the default falls back to [`Self::clone_unit`].
-    fn copy_unit_from(&mut self, _src: &dyn ProtectionUnit) -> bool {
-        false
-    }
+    /// Snapshot restores run this every device spawn of a pooled fleet.
+    /// Hand-written rather than `Clone::clone_from` so a unit can skip
+    /// configuration such as its obs handle.
+    fn copy_unit_from(&mut self, src: &dyn ProtectionUnit) -> bool;
+}
+
+/// Snapshot and downcast hooks every [`ProtectionUnit`] gets from its
+/// `Clone` impl (blanket-implemented for `T: ProtectionUnit + Clone +
+/// 'static`).
+pub trait UnitState {
+    /// Clones the unit's full state for machine snapshots.
+    fn clone_unit(&self) -> Box<dyn ProtectionUnit>;
 
     /// Downcasting hook so backend code can reach the concrete model.
     fn as_any(&self) -> &dyn Any;
 
     /// Mutable downcasting hook (backends program the concrete model).
     fn as_any_mut(&mut self) -> &mut dyn Any;
+}
+
+impl<T: ProtectionUnit + Clone + 'static> UnitState for T {
+    fn clone_unit(&self) -> Box<dyn ProtectionUnit> {
+        Box::new(self.clone())
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// `clone_from` copies in place through
+/// [`ProtectionUnit::copy_unit_from`] and replaces the box with a clone
+/// when the concrete types differ.
+impl Clone for Box<dyn ProtectionUnit> {
+    fn clone(&self) -> Self {
+        self.clone_unit()
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        if !self.copy_unit_from(src.as_ref()) {
+            *self = src.clone_unit();
+        }
+    }
 }
 
 impl std::fmt::Debug for dyn ProtectionUnit {

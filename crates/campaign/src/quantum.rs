@@ -17,6 +17,8 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
+use crate::engine::panic_message;
+
 /// What a task did with its quantum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Poll {
@@ -85,16 +87,6 @@ pub struct ShardReport<O> {
     pub panicked: Vec<(usize, String)>,
 }
 
-fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Runs `factory(worker, workers)`-built task shards to completion in
 /// fuel-sliced rounds and returns one [`ShardReport`] per worker, in
 /// worker order.
@@ -153,7 +145,7 @@ where
                                     live -= 1;
                                 }
                                 Err(p) => {
-                                    report.panicked.push((i, panic_message(p)));
+                                    report.panicked.push((i, panic_message(p.as_ref())));
                                     alive[i] = false;
                                     live -= 1;
                                 }

@@ -26,18 +26,6 @@ impl Rcc {
 }
 
 impl MmioDevice for Rcc {
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-    fn clone_box(&self) -> Option<Box<dyn MmioDevice>> {
-        Some(Box::new(self.clone()))
-    }
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-    fn copy_state_from(&mut self, src: &dyn MmioDevice) -> bool {
-        opec_armv7m::copy_device_state(self, src)
-    }
     fn name(&self) -> &str {
         "RCC"
     }
@@ -82,18 +70,6 @@ impl Dma {
 }
 
 impl MmioDevice for Dma {
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-    fn clone_box(&self) -> Option<Box<dyn MmioDevice>> {
-        Some(Box::new(self.clone()))
-    }
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-    fn copy_state_from(&mut self, src: &dyn MmioDevice) -> bool {
-        opec_armv7m::copy_device_state(self, src)
-    }
     fn name(&self) -> &str {
         &self.name
     }
@@ -138,18 +114,6 @@ impl RegFile {
 }
 
 impl MmioDevice for RegFile {
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-    fn clone_box(&self) -> Option<Box<dyn MmioDevice>> {
-        Some(Box::new(self.clone()))
-    }
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-    fn copy_state_from(&mut self, src: &dyn MmioDevice) -> bool {
-        opec_armv7m::copy_device_state(self, src)
-    }
     fn name(&self) -> &str {
         &self.name
     }
@@ -198,18 +162,6 @@ impl Timer {
 }
 
 impl MmioDevice for Timer {
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-    fn clone_box(&self) -> Option<Box<dyn MmioDevice>> {
-        Some(Box::new(self.clone()))
-    }
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-    fn copy_state_from(&mut self, src: &dyn MmioDevice) -> bool {
-        opec_armv7m::copy_device_state(self, src)
-    }
     fn name(&self) -> &str {
         &self.name
     }

@@ -185,18 +185,6 @@ impl SdCard {
 }
 
 impl MmioDevice for SdCard {
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-    fn clone_box(&self) -> Option<Box<dyn MmioDevice>> {
-        Some(Box::new(self.clone()))
-    }
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-    fn copy_state_from(&mut self, src: &dyn MmioDevice) -> bool {
-        opec_armv7m::copy_device_state(self, src)
-    }
     fn name(&self) -> &str {
         "SDIO"
     }
@@ -242,18 +230,6 @@ impl UsbMsc {
 }
 
 impl MmioDevice for UsbMsc {
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-    fn clone_box(&self) -> Option<Box<dyn MmioDevice>> {
-        Some(Box::new(self.clone()))
-    }
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-    fn copy_state_from(&mut self, src: &dyn MmioDevice) -> bool {
-        opec_armv7m::copy_device_state(self, src)
-    }
     fn name(&self) -> &str {
         "USB_MSC"
     }

@@ -82,18 +82,6 @@ impl Uart {
 }
 
 impl MmioDevice for Uart {
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-    fn clone_box(&self) -> Option<Box<dyn MmioDevice>> {
-        Some(Box::new(self.clone()))
-    }
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-    fn copy_state_from(&mut self, src: &dyn MmioDevice) -> bool {
-        opec_armv7m::copy_device_state(self, src)
-    }
     fn name(&self) -> &str {
         &self.name
     }

@@ -34,7 +34,7 @@ use opec_vm::{
     VmSnapshot,
 };
 
-use crate::check::backend_segment;
+use crate::check::{backend_segment, job_slug};
 use crate::engine::{EngineOpts, RunLimits};
 use crate::runs::FUEL;
 use crate::table::TextTable;
@@ -208,13 +208,6 @@ pub fn attack_matrix_with(
     Ok((AttackMatrix { backend: sel.name(), seeds, cells }, report))
 }
 
-/// Job-id fragment for an application name (journal id charset only).
-fn job_slug(name: &str) -> String {
-    name.chars()
-        .map(|c| if c.is_ascii_alphanumeric() || "._-".contains(c) { c } else { '-' })
-        .collect()
-}
-
 /// The full `attack × config × seed` grid scored [`Verdict::Crashed`]:
 /// the cells of an application whose job panicked on both attempts.
 /// The grid has the same shape [`app_cells`] would have produced, so
@@ -371,7 +364,7 @@ impl<S: Supervisor + Clone> Runner<S> {
                 return Ok(Runner::BootFailed(CampaignResult::OtherError(other.to_string())));
             }
         }
-        let snap = vm.snapshot().map_err(|e| format!("snapshot: {e}"))?;
+        let Ok(snap) = vm.snapshot();
         Ok(Runner::Ready { vm: Box::new(vm), snap: Box::new(snap) })
     }
 
@@ -934,14 +927,14 @@ impl AttackMatrix {
     /// artifact).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        writeln!(out, "  \"backend\": {},", jstr(self.backend)).unwrap();
+        writeln!(out, "  \"backend\": \"{}\",", json::escape(self.backend)).unwrap();
         writeln!(out, "  \"seeds\": {},", self.seeds).unwrap();
         out.push_str("  \"cells\": [\n");
         for (i, cell) in self.cells.iter().enumerate() {
             write!(
                 out,
-                "    {{\"app\": {}, \"config\": \"{}\", \"attack\": \"{}\", \"verdicts\": [",
-                jstr(cell.app),
+                "    {{\"app\": \"{}\", \"config\": \"{}\", \"attack\": \"{}\", \"verdicts\": [",
+                json::escape(cell.app),
                 cell.config.label(),
                 cell.kind.name()
             )
@@ -949,10 +942,10 @@ impl AttackMatrix {
             for (j, (seed, verdict)) in cell.verdicts.iter().enumerate() {
                 write!(
                     out,
-                    "{}{{\"seed\": {seed}, \"verdict\": \"{}\", \"detail\": {}}}",
+                    "{}{{\"seed\": {seed}, \"verdict\": \"{}\", \"detail\": \"{}\"}}",
                     if j == 0 { "" } else { ", " },
                     verdict.label(),
-                    jstr(&verdict_detail(verdict)),
+                    json::escape(&verdict_detail(verdict)),
                 )
                 .unwrap();
             }
@@ -1010,27 +1003,6 @@ fn verdict_detail(v: &Verdict) -> String {
         Verdict::NotApplicable => String::new(),
         Verdict::Undecided { reason } => reason.clone(),
     }
-}
-
-/// Minimal JSON string escaping.
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                write!(out, "\\u{:04x}", c as u32).unwrap();
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -290,7 +290,7 @@ fn campaign_bench() -> CampaignBench {
         .build()
         .expect("pinlock image");
     vm.boot().expect("pinlock boot");
-    let snap = vm.snapshot().expect("pinlock snapshot");
+    let Ok(snap) = vm.snapshot();
     let _ = vm.resume(DIRTY_FUEL);
     let mut snap_secs = 0f64;
     for _ in 0..SNAP_RESETS {

@@ -746,7 +746,7 @@ fn gen_aces_case(
 }
 
 /// Job-id fragment for an application name (journal id charset only).
-fn job_slug(name: &str) -> String {
+pub(crate) fn job_slug(name: &str) -> String {
     name.chars()
         .map(|c| if c.is_ascii_alphanumeric() || "._-".contains(c) { c } else { '-' })
         .collect()

@@ -120,8 +120,7 @@ impl Template {
             Some(r) => Obs::new(vec![slot.clone() as SinkHandle, r.clone() as SinkHandle]),
         };
         let mut vm = self.fresh_vm(obs)?;
-        let golden =
-            vm.snapshot().map_err(|e| format!("{} template snapshot: {e}", self.kind.name()))?;
+        let Ok(golden) = vm.snapshot();
         Ok(ResidentVm { vm, golden, slot })
     }
 }

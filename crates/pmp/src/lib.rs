@@ -32,7 +32,6 @@
 
 #![warn(missing_docs)]
 
-use std::any::Any;
 use std::sync::Arc;
 
 use opec_armv7m::mpu::MpuDecision;
@@ -357,10 +356,6 @@ impl ProtectionUnit for PmpUnit {
         self.obs = obs;
     }
 
-    fn clone_unit(&self) -> Box<dyn ProtectionUnit> {
-        Box::new(self.clone())
-    }
-
     fn copy_unit_from(&mut self, src: &dyn ProtectionUnit) -> bool {
         match src.as_any().downcast_ref::<PmpUnit>() {
             Some(s) => {
@@ -372,14 +367,6 @@ impl ProtectionUnit for PmpUnit {
             }
             None => false,
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

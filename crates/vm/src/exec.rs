@@ -4,6 +4,7 @@
 //! events for operation switches and faults. See the crate docs for the
 //! behavioural commitments.
 
+use std::convert::Infallible;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -268,18 +269,11 @@ pub struct Vm<S: Supervisor> {
     boots: u64,
 }
 
-/// A cheap checkpoint of a [`Vm`], taken with [`Vm::snapshot`].
-///
-/// Captures the interpreter (frames, registers, stack pointer, pending
-/// injections, logs, counters), the supervisor by clone, and the
-/// machine via [`MachineSnapshot`] (dirty-page tracked memory). Not
-/// captured: the image (restore never changes it — re-apply
-/// [`Vm::patch_image`] yourself if you patched after snapshotting), the
-/// injector and watcher (swap injectors with [`Vm::set_injector`]), and
-/// the obs sinks (event streams are append-only; the restored clock
-/// makes re-runs emit identical events).
-pub struct VmSnapshot<S: Supervisor> {
-    machine: MachineSnapshot,
+/// Everything but the machine that a checkpoint carries: the
+/// interpreter (frames, registers, stack pointer, pending injections,
+/// logs, counters) and the supervisor by clone. [`VmSnapshot`] and
+/// [`VmDelta`] share it, so the two differ only in the machine half.
+struct VmState<S> {
     supervisor: S,
     cpu: CpuContext,
     stats: VmStats,
@@ -292,26 +286,74 @@ pub struct VmSnapshot<S: Supervisor> {
     irq_depth: u32,
 }
 
+impl<S: Supervisor + Clone> VmState<S> {
+    fn capture(vm: &Vm<S>) -> VmState<S> {
+        VmState {
+            supervisor: vm.supervisor.clone(),
+            cpu: vm.cpu,
+            stats: vm.stats,
+            inject_log: vm.inject_log.clone(),
+            contained: vm.contained.clone(),
+            pending_op_corrupt: vm.pending_op_corrupt,
+            pending_arg_corrupt: vm.pending_arg_corrupt.clone(),
+            sp: vm.sp,
+            frames: vm.frames.clone(),
+            irq_depth: vm.irq_depth,
+        }
+    }
+
+    /// Destructures `self` so that a new field cannot be left out.
+    fn apply(&self, vm: &mut Vm<S>) {
+        let VmState {
+            supervisor,
+            cpu,
+            stats,
+            inject_log,
+            contained,
+            pending_op_corrupt,
+            pending_arg_corrupt,
+            sp,
+            frames,
+            irq_depth,
+        } = self;
+        vm.supervisor.clone_from(supervisor);
+        vm.cpu = *cpu;
+        vm.stats = *stats;
+        vm.inject_log.clone_from(inject_log);
+        vm.contained.clone_from(contained);
+        vm.pending_op_corrupt = *pending_op_corrupt;
+        vm.pending_arg_corrupt.clone_from(pending_arg_corrupt);
+        vm.sp = *sp;
+        vm.frames.clone_from(frames);
+        vm.irq_depth = *irq_depth;
+    }
+}
+
+/// A cheap checkpoint of a [`Vm`], taken with [`Vm::snapshot`].
+///
+/// Captures the interpreter state, the supervisor by clone, and the
+/// machine via [`MachineSnapshot`] (dirty-page tracked memory). Not
+/// captured: the image (restore never changes it — re-apply
+/// [`Vm::patch_image`] yourself if you patched after snapshotting), the
+/// injector and watcher (swap injectors with [`Vm::set_injector`]), and
+/// the obs sinks (event streams are append-only; the restored clock
+/// makes re-runs emit identical events).
+pub struct VmSnapshot<S: Supervisor> {
+    machine: MachineSnapshot,
+    state: VmState<S>,
+}
+
 /// A parked logical device: the divergence of a running [`Vm`] from a
 /// golden [`VmSnapshot`], captured by [`Vm::park`] and re-applied by
 /// [`Vm::unpark`].
 ///
 /// Where a [`VmSnapshot`] holds full golden memory copies, a delta
 /// holds only the dirty pages ([`opec_armv7m::MachineDelta`]) plus the
-/// interpreter registers and frames, so a fleet keeps thousands of
-/// parked devices forked from one golden image at a few pages each.
+/// same interpreter state, so a fleet keeps thousands of parked devices
+/// forked from one golden image at a few pages each.
 pub struct VmDelta<S: Supervisor> {
     machine: MachineDelta,
-    supervisor: S,
-    cpu: CpuContext,
-    stats: VmStats,
-    inject_log: Vec<(InjectAction, InjectOutcome)>,
-    contained: Vec<TrapError>,
-    pending_op_corrupt: Option<OpId>,
-    pending_arg_corrupt: Vec<(usize, u32)>,
-    sp: u32,
-    frames: Vec<Frame>,
-    irq_depth: u32,
+    state: VmState<S>,
 }
 
 impl<S: Supervisor> VmDelta<S> {
@@ -1746,22 +1788,11 @@ impl<S: Supervisor> Vm<S> {
 impl<S: Supervisor + Clone> Vm<S> {
     /// Captures a [`VmSnapshot`] of the whole execution state and arms
     /// the machine's dirty-page tracking, so restores of this snapshot
-    /// copy back only touched memory. Fails if a registered device does
-    /// not support [`opec_armv7m::MmioDevice::clone_box`].
-    pub fn snapshot(&mut self) -> Result<VmSnapshot<S>, String> {
-        Ok(VmSnapshot {
-            machine: self.machine.snapshot()?,
-            supervisor: self.supervisor.clone(),
-            cpu: self.cpu,
-            stats: self.stats,
-            inject_log: self.inject_log.clone(),
-            contained: self.contained.clone(),
-            pending_op_corrupt: self.pending_op_corrupt,
-            pending_arg_corrupt: self.pending_arg_corrupt.clone(),
-            sp: self.sp,
-            frames: self.frames.clone(),
-            irq_depth: self.irq_depth,
-        })
+    /// copy back only touched memory. Cannot fail, since every device
+    /// and protection unit is `Clone`; the error type is uninhabited and
+    /// the `Result` only keeps `snapshot().expect(..)` callers compiling.
+    pub fn snapshot(&mut self) -> Result<VmSnapshot<S>, Infallible> {
+        Ok(VmSnapshot { machine: self.machine.snapshot(), state: VmState::capture(self) })
     }
 
     /// Rolls the VM back to `snap`. Configuration (exec mode,
@@ -1770,16 +1801,7 @@ impl<S: Supervisor + Clone> Vm<S> {
     /// how campaign drivers assert device init ran exactly once.
     pub fn restore(&mut self, snap: &VmSnapshot<S>) {
         self.machine.restore(&snap.machine);
-        self.supervisor = snap.supervisor.clone();
-        self.cpu = snap.cpu;
-        self.stats = snap.stats;
-        self.inject_log.clone_from(&snap.inject_log);
-        self.contained.clone_from(&snap.contained);
-        self.pending_op_corrupt = snap.pending_op_corrupt;
-        self.pending_arg_corrupt.clone_from(&snap.pending_arg_corrupt);
-        self.sp = snap.sp;
-        self.frames.clone_from(&snap.frames);
-        self.irq_depth = snap.irq_depth;
+        snap.state.apply(self);
     }
 
     /// Parks the VM: captures its divergence from the golden snapshot
@@ -1789,39 +1811,18 @@ impl<S: Supervisor + Clone> Vm<S> {
     /// undoes exactly the parked pages. A fleet scheduler multiplexes
     /// thousands of logical devices over one resident VM this way:
     /// unpark, run a fuel quantum, park, restore to golden, next
-    /// device.
+    /// device. Fails when no snapshot is armed.
     pub fn park(&mut self) -> Result<VmDelta<S>, String> {
-        Ok(VmDelta {
-            machine: self.machine.delta()?,
-            supervisor: self.supervisor.clone(),
-            cpu: self.cpu,
-            stats: self.stats,
-            inject_log: self.inject_log.clone(),
-            contained: self.contained.clone(),
-            pending_op_corrupt: self.pending_op_corrupt,
-            pending_arg_corrupt: self.pending_arg_corrupt.clone(),
-            sp: self.sp,
-            frames: self.frames.clone(),
-            irq_depth: self.irq_depth,
-        })
+        Ok(VmDelta { machine: self.machine.delta()?, state: VmState::capture(self) })
     }
 
     /// Unparks a device: re-applies a [`VmDelta`] onto a VM freshly
     /// restored to the golden snapshot the delta was parked against.
-    /// Fails on a snapshot-id mismatch rather than silently mixing two
-    /// devices' memory.
+    /// Fails on a snapshot-id mismatch, leaving the VM untouched,
+    /// rather than silently mixing two devices' memory.
     pub fn unpark(&mut self, delta: &VmDelta<S>) -> Result<(), String> {
         self.machine.apply_delta(&delta.machine)?;
-        self.supervisor = delta.supervisor.clone();
-        self.cpu = delta.cpu;
-        self.stats = delta.stats;
-        self.inject_log.clone_from(&delta.inject_log);
-        self.contained.clone_from(&delta.contained);
-        self.pending_op_corrupt = delta.pending_op_corrupt;
-        self.pending_arg_corrupt.clone_from(&delta.pending_arg_corrupt);
-        self.sp = delta.sp;
-        self.frames.clone_from(&delta.frames);
-        self.irq_depth = delta.irq_depth;
+        delta.state.apply(self);
         Ok(())
     }
 }

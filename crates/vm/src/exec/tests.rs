@@ -179,6 +179,46 @@ fn spin_module() -> opec_ir::Module {
 }
 
 #[test]
+fn unpark_refuses_a_delta_from_another_golden_snapshot() {
+    let mut mb = ModuleBuilder::new("t");
+    let g = mb.global_init("counter", Ty::I32, vec![0; 4], "a.c");
+    mb.func("main", vec![], None, "a.c", |fb| {
+        let spin = fb.block();
+        fb.br(spin);
+        fb.switch_to(spin);
+        let v = fb.load_global(g, 0, 4);
+        let v2 = fb.bin(BinOp::Add, Operand::Reg(v), Operand::Imm(1));
+        fb.store_global(g, 0, Operand::Reg(v2), 4);
+        fb.br(spin);
+    });
+    let mut vm = boot(mb.finish(), NullSupervisor);
+    let GlobalSlot::Fixed(addr) = vm.image.global_slots[g.0 as usize] else {
+        panic!("baseline globals live at fixed addresses");
+    };
+    let counter = |vm: &Vm<NullSupervisor>| vm.machine.peek(addr, 4).unwrap();
+    vm.boot().unwrap();
+    let Ok(golden) = vm.snapshot();
+    assert_eq!(vm.resume(200).unwrap_err(), VmError::OutOfFuel);
+    let parked = vm.park().unwrap();
+    let parked_count = counter(&vm);
+    assert!(parked_count > 0);
+
+    // Re-snapshotting moves the lineage; the old delta no longer fits.
+    vm.restore(&golden);
+    let Ok(_other) = vm.snapshot();
+    assert_eq!(vm.resume(50).unwrap_err(), VmError::OutOfFuel);
+    let (count, stats) = (counter(&vm), vm.stats);
+    assert!(vm.unpark(&parked).is_err());
+    assert_eq!(counter(&vm), count);
+    assert_eq!(vm.stats, stats);
+
+    // Restored to its own golden snapshot, the delta applies.
+    vm.restore(&golden);
+    vm.unpark(&parked).unwrap();
+    assert_eq!(counter(&vm), parked_count);
+}
+
+#[test]
 fn expired_deadline_times_out_in_both_exec_modes() {
     for mode in [ExecMode::Plain, ExecMode::Decoded] {
         let board = Board::stm32f4_discovery();
@@ -407,11 +447,9 @@ fn retry_fixup_reexecutes_the_access() {
         }
     }
 
+    #[derive(Clone)]
     struct Dummy;
     impl opec_armv7m::MmioDevice for Dummy {
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
         fn name(&self) -> &str {
             "dummy"
         }
