@@ -12,9 +12,10 @@ use std::collections::BTreeMap;
 use opec_armv7m::{Board, Mode};
 use opec_ir::{GlobalId, Module};
 use opec_vm::image::layout_code;
-use opec_vm::{GlobalSlot, LoadedImage};
+use opec_vm::{GlobalSlot, LoadedImage, OpId};
 
 use crate::regions::DataRegions;
+use crate::runtime::AcesRuntime;
 use crate::strategy::{AcesStrategy, Compartments};
 use crate::ACES_RT_BYTES;
 
@@ -29,6 +30,25 @@ pub struct AcesCompileOutput {
     /// Stack window (whole-stack accessible — ACES's oversized stack
     /// permission).
     pub stack: opec_armv7m::MemRegion,
+}
+
+impl AcesCompileOutput {
+    /// The compartment `main` starts in.
+    pub fn main_comp(&self) -> OpId {
+        self.comps.of(self.image.entry)
+    }
+
+    /// The runtime enforcing this build's compartments on `board`.
+    pub fn runtime(&self, board: Board) -> AcesRuntime {
+        AcesRuntime::new(
+            &self.image.module,
+            self.comps.clone(),
+            self.regions.clone(),
+            board,
+            self.stack,
+            self.main_comp(),
+        )
+    }
 }
 
 /// Errors from ACES image generation.

@@ -127,6 +127,11 @@ impl Compartments {
         self.owner[&f]
     }
 
+    /// The compartments owning any of `funcs`.
+    pub fn owners<'a>(&self, funcs: impl IntoIterator<Item = &'a FuncId>) -> BTreeSet<OpId> {
+        funcs.into_iter().map(|&f| self.of(f)).collect()
+    }
+
     /// Total modelled code bytes of privileged (lifted) compartments —
     /// the numerator of the paper's PAC metric.
     pub fn privileged_code_bytes(&self, module: &Module) -> u32 {

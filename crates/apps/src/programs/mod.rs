@@ -18,7 +18,9 @@ pub mod lcd_usd;
 pub mod pinlock;
 pub mod tcp_echo;
 
-/// One buildable, runnable, checkable workload.
+/// One buildable, runnable, checkable workload. `Copy`: a name, a
+/// board and three function pointers.
+#[derive(Clone, Copy)]
 pub struct App {
     /// Application name as in the paper's tables.
     pub name: &'static str,

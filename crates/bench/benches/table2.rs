@@ -2,25 +2,19 @@
 //! measures full ACES workload executions on the comparison apps.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use opec_aces::{build_aces_image, AcesRuntime, AcesStrategy};
-use opec_armv7m::Machine;
+use opec_aces::AcesStrategy;
+use opec_core::Armv7mBackend;
+use opec_oracle::Firmware;
 use opec_vm::Vm;
 
 fn run_aces_once(app: &opec_apps::App, strategy: AcesStrategy) -> u64 {
-    let (module, _) = (app.build)();
-    let out = build_aces_image(module, app.board, strategy).expect("aces build");
-    let main_comp = out.comps.of(out.image.entry);
-    let rt = AcesRuntime::new(
-        &out.image.module,
-        out.comps,
-        out.regions,
-        app.board,
-        out.stack,
-        main_comp,
-    );
-    let mut machine = Machine::new(app.board);
-    (app.setup)(&mut machine);
-    let mut vm = Vm::builder(machine, out.image).supervisor(rt).build().expect("vm");
+    let fw = Firmware::from(app);
+    let build = fw.aces(strategy).expect("aces build");
+    let runtime = build.runtime();
+    let mut vm = Vm::builder(fw.machine(&Armv7mBackend), build.out.image)
+        .supervisor(runtime)
+        .build()
+        .expect("vm");
     vm.run(opec_bench::FUEL).expect("aces run").cycles()
 }
 

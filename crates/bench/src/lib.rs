@@ -7,27 +7,26 @@
 
 #![warn(missing_docs)]
 
+use std::sync::Arc;
+
 use opec_apps::App;
-use opec_armv7m::Machine;
-use opec_core::{compile, CompileOutput, OpecMonitor};
-use opec_vm::{link_baseline, RunOutcome, Vm};
+use opec_core::{Armv7mBackend, CompileOutput};
+use opec_oracle::Firmware;
+use opec_vm::{RunOutcome, Vm};
 
 /// Fuel for benchmark runs.
 pub const FUEL: u64 = opec_vm::exec::DEFAULT_FUEL;
 
 /// Compiles an app with OPEC (panicking on failure).
 pub fn compile_app(app: &App) -> CompileOutput {
-    let (module, specs) = (app.build)();
-    compile(module, app.board, &specs).unwrap_or_else(|e| panic!("{} compile: {e}", app.name))
+    Firmware::from(app).opec().unwrap_or_else(|e| panic!("{} compile: {e}", app.name)).out
 }
 
 /// One full baseline run; returns cycles.
 pub fn run_baseline_once(app: &App) -> u64 {
-    let (module, _) = (app.build)();
-    let image = link_baseline(module, app.board).expect("link");
-    let mut machine = Machine::new(app.board);
-    (app.setup)(&mut machine);
-    let mut vm = Vm::builder(machine, image).build().expect("vm");
+    let fw = Firmware::from(app);
+    let image = fw.baseline().expect("link");
+    let mut vm = Vm::builder(fw.machine(&Armv7mBackend), image).build().expect("vm");
     match vm.run(FUEL).expect("baseline run") {
         RunOutcome::Halted { cycles } | RunOutcome::Returned { cycles, .. } => cycles,
     }
@@ -35,12 +34,13 @@ pub fn run_baseline_once(app: &App) -> u64 {
 
 /// One full OPEC run; returns cycles.
 pub fn run_opec_once(app: &App) -> u64 {
-    let out = compile_app(app);
-    let mut machine = Machine::new(app.board);
-    (app.setup)(&mut machine);
-    let policy = out.policy.clone();
-    let mut vm =
-        Vm::builder(machine, out.image).supervisor(OpecMonitor::new(policy)).build().expect("vm");
+    let fw = Firmware::from(app);
+    let build = fw.opec().unwrap_or_else(|e| panic!("{} compile: {e}", app.name));
+    let monitor = build.monitor(Arc::new(Armv7mBackend));
+    let mut vm = Vm::builder(fw.machine(&Armv7mBackend), build.out.image)
+        .supervisor(monitor)
+        .build()
+        .expect("vm");
     match vm.run(FUEL).expect("OPEC run") {
         RunOutcome::Halted { cycles } | RunOutcome::Returned { cycles, .. } => cycles,
     }

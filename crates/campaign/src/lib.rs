@@ -34,8 +34,8 @@ pub mod json;
 pub mod quantum;
 
 pub use engine::{
-    run_campaign, CampaignOpts, CampaignReport, Job, JobCtx, JobOutcome, JobRecord, JobResult,
-    DEFAULT_TIMEOUT_SECS,
+    panic_message, run_campaign, CampaignOpts, CampaignReport, Job, JobCtx, JobOutcome, JobRecord,
+    JobResult, DEFAULT_TIMEOUT_SECS,
 };
 pub use journal::{Journal, Record, SYNC_BATCH};
 pub use json::Value;

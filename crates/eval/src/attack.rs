@@ -20,18 +20,20 @@ use std::fmt::Write as _;
 use std::panic::{self, AssertUnwindSafe};
 use std::time::Instant;
 
-use opec_aces::{build_aces_image, AcesCompileOutput, AcesRuntime, AcesStrategy};
+use opec_aces::{AcesRuntime, AcesStrategy};
 use opec_apps::programs::{aces_comparison_apps, all_apps};
 use opec_apps::App;
-use opec_armv7m::{Machine, MemRegion};
+use opec_armv7m::MemRegion;
 use opec_campaign::json::{self, Value};
-use opec_campaign::{run_campaign, CampaignOpts, CampaignReport, Job, JobOutcome, JobResult};
-use opec_core::{compile, CompileOutput, OpecMonitor};
+use opec_campaign::{
+    panic_message, run_campaign, CampaignOpts, CampaignReport, Job, JobOutcome, JobResult,
+};
+use opec_core::{Armv7mBackend, Backend, CompileOutput, OpecMonitor};
 use opec_fleet::FleetBackend;
 use opec_inject::{score, Attack, AttackKind, CampaignInjector, CampaignResult, Verdict};
+use opec_oracle::{AcesBuild, Firmware, OpecBuild, System};
 use opec_vm::{
-    link_baseline, InjectAction, LoadedImage, NullSupervisor, OpId, Supervisor, Vm, VmError,
-    VmSnapshot,
+    InjectAction, LoadedImage, NullSupervisor, OpId, Supervisor, Vm, VmError, VmSnapshot,
 };
 
 use crate::check::{backend_segment, job_slug};
@@ -58,39 +60,14 @@ const MPU_CTRL: u32 = 0xE000_ED94;
 /// Core-peripheral registers worth attacking, in preference order.
 const PPB_TARGETS: [u32; 3] = [0xE000_E010, 0xE000_E100, 0xE000_ED08];
 
-/// The isolation configuration of one matrix column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Config {
-    /// Full OPEC: operations + privileged monitor.
-    Opec,
-    /// ACES compartments (filename strategy).
-    Aces,
-    /// Vanilla image, no MPU policy at all.
-    Baseline,
-}
-
-impl Config {
-    /// Display / JSON label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Config::Opec => "opec",
-            Config::Aces => "aces",
-            Config::Baseline => "baseline",
-        }
-    }
-
-    /// Matrix column order.
-    pub const ALL: [Config; 3] = [Config::Opec, Config::Aces, Config::Baseline];
-}
-
 /// One matrix cell: the verdicts of every seed for
 /// `(app, config, attack)`.
 #[derive(Debug, Clone)]
 pub struct Cell {
     /// Application name.
     pub app: &'static str,
-    /// Isolation configuration.
-    pub config: Config,
+    /// Isolation system (the matrix column).
+    pub config: System,
     /// Attack class.
     pub kind: AttackKind,
     /// `(seed, verdict)` per campaign, in seed order.
@@ -219,8 +196,8 @@ fn crashed_cells(app: &'static str, seeds: u64, with_aces: bool, payload: &str) 
         .map_or_else(|| "host panic (lost payload)".to_string(), |m| format!("host panic: {m}"));
     let mut cells = Vec::new();
     for kind in AttackKind::ALL {
-        for config in Config::ALL {
-            let verdicts = if config == Config::Aces && !with_aces {
+        for config in System::ALL {
+            let verdicts = if config == System::Aces && !with_aces {
                 Vec::new()
             } else {
                 (0..seeds).map(|s| (s, Verdict::Crashed { detail: detail.clone() })).collect()
@@ -236,50 +213,32 @@ fn crashed_cells(app: &'static str, seeds: u64, with_aces: bool, payload: &str) 
 /// [`Verdict::Crashed`] — a malformed image must surface, not panic.
 struct Artifacts {
     devices: Vec<Device>,
-    opec: Result<CompileOutput, String>,
-    aces: Option<Result<AcesCompileOutput, String>>,
+    opec: Result<OpecBuild, String>,
+    aces: Option<Result<AcesBuild, String>>,
     baseline: Result<LoadedImage, String>,
 }
 
 /// Converts a possibly-panicking build into a `Result`.
-fn caught<T>(what: &str, r: std::thread::Result<Result<T, String>>) -> Result<T, String> {
-    match r {
+fn caught<T>(what: &str, f: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
+    match panic::catch_unwind(AssertUnwindSafe(f)) {
         Ok(inner) => inner,
-        Err(payload) => Err(format!("{what}: {}", panic_message(&payload))),
+        Err(payload) => Err(format!("{what}: host panic: {}", panic_message(payload.as_ref()))),
     }
 }
 
-fn build_artifacts(app: &App, with_aces: bool) -> Artifacts {
-    let devices = {
-        let mut m = Machine::new(app.board);
-        (app.setup)(&mut m);
-        m.device_regions()
-    };
-    let opec = caught(
-        "OPEC build",
-        panic::catch_unwind(AssertUnwindSafe(|| {
-            let (module, specs) = (app.build)();
-            compile(module, app.board, &specs).map_err(|e| format!("OPEC compile: {e}"))
-        })),
-    );
-    let aces = with_aces.then(|| {
-        caught(
-            "ACES build",
-            panic::catch_unwind(AssertUnwindSafe(|| {
-                let (module, _) = (app.build)();
-                build_aces_image(module, app.board, ACES_MATRIX_STRATEGY)
-                    .map_err(|e| format!("ACES build: {e}"))
-            })),
-        )
-    });
-    let baseline = caught(
-        "baseline link",
-        panic::catch_unwind(AssertUnwindSafe(|| {
-            let (module, _) = (app.build)();
-            link_baseline(module, app.board).map_err(|e| format!("baseline link: {e}"))
-        })),
-    );
-    Artifacts { devices, opec, aces, baseline }
+fn build_artifacts(fw: &Firmware<'_>, with_aces: bool) -> Artifacts {
+    Artifacts {
+        devices: fw.machine(&Armv7mBackend).device_regions(),
+        opec: caught("OPEC build", || fw.opec().map_err(|e| format!("OPEC compile: {e}"))),
+        aces: with_aces.then(|| {
+            caught("ACES build", || {
+                fw.aces(ACES_MATRIX_STRATEGY).map_err(|e| format!("ACES build: {e}"))
+            })
+        }),
+        baseline: caught("baseline link", || {
+            fw.baseline().map_err(|e| format!("baseline link: {e}"))
+        }),
+    }
 }
 
 /// All cells of one application: every attack class under every
@@ -293,14 +252,28 @@ fn app_cells(
     limits: &RunLimits,
     sel: FleetBackend,
 ) -> Vec<Cell> {
-    let art = build_artifacts(app, with_aces);
-    let mut opec = caught_runner("OPEC init", || prepare_opec(app, &art, sel));
-    let mut aces = with_aces.then(|| caught_runner("ACES init", || prepare_aces(app, &art)));
-    let mut baseline = caught_runner("baseline init", || prepare_baseline(app, &art, sel));
+    let fw = Firmware::from(app);
+    let art = build_artifacts(&fw, with_aces);
+    let backend = sel.dyn_backend();
+    let mut opec = caught("OPEC init", || {
+        let build = art.opec.as_ref().map_err(Clone::clone)?;
+        Runner::new(&fw, &*backend, &build.out.image, build.monitor(backend.clone()), "OPEC")
+    });
+    let mut aces = with_aces.then(|| {
+        caught("ACES init", || {
+            let build =
+                art.aces.as_ref().expect("ACES requested").as_ref().map_err(Clone::clone)?;
+            Runner::new(&fw, &Armv7mBackend, &build.out.image, build.runtime(), "ACES")
+        })
+    });
+    let mut baseline = caught("baseline init", || {
+        let image = art.baseline.as_ref().map_err(Clone::clone)?;
+        Runner::new(&fw, &*backend, image, NullSupervisor, "baseline")
+    });
     let mut cells = Vec::new();
     for kind in AttackKind::ALL {
-        for config in Config::ALL {
-            if config == Config::Aces && !with_aces {
+        for config in System::ALL {
+            if config == System::Aces && !with_aces {
                 cells.push(Cell { app: app.name, config, kind, verdicts: Vec::new() });
                 continue;
             }
@@ -311,19 +284,21 @@ fn app_cells(
             let verdicts = (0..seeds)
                 .map(|seed| {
                     let outcome = panic::catch_unwind(AssertUnwindSafe(|| match config {
-                        Config::Opec => run_opec_cell(app, &art, &mut opec, kind, seed, limits),
-                        Config::Aces => {
+                        System::Opec => run_opec_cell(app, &art, &mut opec, kind, seed, limits),
+                        System::Aces => {
                             let runner = aces.as_mut().expect("ACES requested");
                             run_aces_cell(app, &art, runner, kind, seed, limits)
                         }
-                        Config::Baseline => {
+                        System::Baseline => {
                             run_baseline_cell(app, &art, &mut baseline, kind, seed, limits)
                         }
                     }));
                     let verdict = match outcome {
                         Ok(Ok(verdict)) => verdict,
                         Ok(Err(e)) => Verdict::Crashed { detail: e },
-                        Err(payload) => Verdict::Crashed { detail: panic_message(&payload) },
+                        Err(payload) => Verdict::Crashed {
+                            detail: format!("host panic: {}", panic_message(payload.as_ref())),
+                        },
                     };
                     (seed, verdict)
                 })
@@ -353,8 +328,20 @@ enum Runner<S: Supervisor + Clone> {
 }
 
 impl<S: Supervisor + Clone> Runner<S> {
-    /// Boots `vm` once and snapshots the post-boot state.
-    fn new(mut vm: Vm<S>) -> Result<Self, String> {
+    /// Builds the column's VM — `image` under `supervisor` on a fresh
+    /// `fw` machine of `backend` — boots it once and snapshots the
+    /// post-boot state. `what` names the column in errors.
+    fn new(
+        fw: &Firmware<'_>,
+        backend: &dyn Backend,
+        image: &LoadedImage,
+        supervisor: S,
+        what: &str,
+    ) -> Result<Self, String> {
+        let mut vm = Vm::builder(fw.machine(backend), image.clone())
+            .supervisor(supervisor)
+            .build()
+            .map_err(|e| format!("{what} image: {e}"))?;
         match vm.boot() {
             Ok(()) => {}
             Err(VmError::Aborted { trap, .. }) => {
@@ -411,74 +398,7 @@ impl<S: Supervisor + Clone> Runner<S> {
     }
 }
 
-/// Converts a possibly-panicking VM construction into a `Result`.
-fn caught_runner<S: Supervisor + Clone>(
-    what: &str,
-    f: impl FnOnce() -> Result<Runner<S>, String>,
-) -> Result<Runner<S>, String> {
-    caught(what, panic::catch_unwind(AssertUnwindSafe(f)))
-}
-
-fn prepare_opec(
-    app: &App,
-    art: &Artifacts,
-    sel: FleetBackend,
-) -> Result<Runner<OpecMonitor>, String> {
-    let out = art.opec.as_ref().map_err(Clone::clone)?;
-    let backend = sel.dyn_backend();
-    let mut machine = backend.make_machine(app.board);
-    (app.setup)(&mut machine);
-    let vm = Vm::builder(machine, out.image.clone())
-        .supervisor(OpecMonitor::with_backend(out.policy.clone(), backend))
-        .build()
-        .map_err(|e| format!("OPEC image: {e}"))?;
-    Runner::new(vm)
-}
-
-fn prepare_aces(app: &App, art: &Artifacts) -> Result<Runner<AcesRuntime>, String> {
-    let out = art.aces.as_ref().expect("ACES requested").as_ref().map_err(Clone::clone)?;
-    let main_comp = out.comps.of(out.image.entry);
-    let rt = AcesRuntime::new(
-        &out.image.module,
-        out.comps.clone(),
-        out.regions.clone(),
-        app.board,
-        out.stack,
-        main_comp,
-    );
-    let mut machine = Machine::new(app.board);
-    (app.setup)(&mut machine);
-    let vm = Vm::builder(machine, out.image.clone())
-        .supervisor(rt)
-        .build()
-        .map_err(|e| format!("ACES image: {e}"))?;
-    Runner::new(vm)
-}
-
-fn prepare_baseline(
-    app: &App,
-    art: &Artifacts,
-    sel: FleetBackend,
-) -> Result<Runner<NullSupervisor>, String> {
-    let image = art.baseline.as_ref().map_err(Clone::clone)?;
-    let mut machine = sel.dyn_backend().make_machine(app.board);
-    (app.setup)(&mut machine);
-    let vm =
-        Vm::builder(machine, image.clone()).build().map_err(|e| format!("baseline image: {e}"))?;
-    Runner::new(vm)
-}
-
 type Device = (String, MemRegion);
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        format!("host panic: {s}")
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        format!("host panic: {s}")
-    } else {
-        "host panic (non-string payload)".into()
-    }
-}
 
 fn run_opec_cell(
     app: &App,
@@ -488,8 +408,8 @@ fn run_opec_cell(
     seed: u64,
     limits: &RunLimits,
 ) -> Result<Verdict, String> {
-    let out = art.opec.as_ref().map_err(Clone::clone)?;
-    let Some(attack) = opec_attack(kind, out, &art.devices) else {
+    let build = art.opec.as_ref().map_err(Clone::clone)?;
+    let Some(attack) = opec_attack(kind, &build.out, &art.devices) else {
         return Ok(Verdict::NotApplicable);
     };
     let runner = runner.as_mut().map_err(|e| e.clone())?;
@@ -524,8 +444,8 @@ fn run_aces_cell(
     seed: u64,
     limits: &RunLimits,
 ) -> Result<Verdict, String> {
-    let out = art.aces.as_ref().expect("ACES requested").as_ref().map_err(Clone::clone)?;
-    let Some(attack) = aces_attack(kind, &out.image, out.stack, &art.devices) else {
+    let build = art.aces.as_ref().expect("ACES requested").as_ref().map_err(Clone::clone)?;
+    let Some(attack) = aces_attack(kind, &build.out.image, build.out.stack, &art.devices) else {
         return Ok(Verdict::NotApplicable);
     };
     let runner = runner.as_mut().map_err(|e| e.clone())?;
@@ -831,9 +751,9 @@ fn cells_from(app: &'static str, payload: &str) -> Result<Vec<Cell>, String> {
         .iter()
         .map(|cell| {
             let config = match cell.get("config").and_then(Value::as_str) {
-                Some("opec") => Config::Opec,
-                Some("aces") => Config::Aces,
-                Some("baseline") => Config::Baseline,
+                Some("opec") => System::Opec,
+                Some("aces") => System::Aces,
+                Some("baseline") => System::Baseline,
                 other => return Err(bad(&format!("bad config {other:?}"))),
             };
             let name = cell.get("attack").and_then(Value::as_str).unwrap_or("");
@@ -874,7 +794,7 @@ fn verdict_from(v: &Value) -> Option<(u64, Verdict)> {
 // ---------------------------------------------------------------------
 
 impl AttackMatrix {
-    /// Cells of one app, in [`AttackKind::ALL`] × [`Config::ALL`] order.
+    /// Cells of one app, in [`AttackKind::ALL`] × [`System::ALL`] order.
     fn app_block(&self, app: &str) -> Vec<&Cell> {
         self.cells.iter().filter(|c| c.app == app).collect()
     }
@@ -911,9 +831,9 @@ impl AttackMatrix {
                 };
                 table.row(vec![
                     kind.name().to_string(),
-                    cell(Config::Opec),
-                    cell(Config::Aces),
-                    cell(Config::Baseline),
+                    cell(System::Opec),
+                    cell(System::Aces),
+                    cell(System::Baseline),
                 ]);
             }
             writeln!(out, "== {app} ==").unwrap();
@@ -973,7 +893,7 @@ impl AttackMatrix {
         for cell in &self.cells {
             for (seed, verdict) in &cell.verdicts {
                 let bad = match verdict {
-                    Verdict::Escaped { .. } => cell.config == Config::Opec,
+                    Verdict::Escaped { .. } => cell.config == System::Opec,
                     Verdict::Crashed { .. } => true,
                     _ => false,
                 };
@@ -1016,7 +936,7 @@ mod tests {
     #[test]
     fn pinlock_opec_contains_every_applicable_attack() {
         let m = pinlock_matrix(2);
-        for cell in m.cells.iter().filter(|c| c.config == Config::Opec) {
+        for cell in m.cells.iter().filter(|c| c.config == System::Opec) {
             for (seed, v) in &cell.verdicts {
                 assert!(
                     matches!(v, Verdict::Contained { .. } | Verdict::NotApplicable),
@@ -1042,7 +962,7 @@ mod tests {
             let cell = m
                 .cells
                 .iter()
-                .find(|c| c.config == Config::Opec && c.kind == kind)
+                .find(|c| c.config == System::Opec && c.kind == kind)
                 .expect("cell exists");
             assert!(
                 cell.verdicts.iter().all(|(_, v)| matches!(v, Verdict::Contained { .. })),
@@ -1068,7 +988,7 @@ mod tests {
             let cell = m
                 .cells
                 .iter()
-                .find(|c| c.config == Config::Baseline && c.kind == kind)
+                .find(|c| c.config == System::Baseline && c.kind == kind)
                 .expect("cell exists");
             assert!(
                 cell.verdicts.iter().all(|(_, v)| matches!(v, Verdict::Escaped { .. })),
@@ -1108,8 +1028,8 @@ mod tests {
         assert_eq!(rep.retried, 1);
         assert_eq!(rep.unknown(), 1);
         // The matrix still renders a full grid, every run cell CRASHED.
-        assert_eq!(m.cells.len(), AttackKind::ALL.len() * Config::ALL.len());
-        for cell in m.cells.iter().filter(|c| c.config != Config::Aces) {
+        assert_eq!(m.cells.len(), AttackKind::ALL.len() * System::ALL.len());
+        for cell in m.cells.iter().filter(|c| c.config != System::Aces) {
             assert!(
                 cell.verdicts.iter().all(|(_, v)| matches!(v, Verdict::Crashed { .. })),
                 "{}: {:?}",

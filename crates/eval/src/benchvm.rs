@@ -19,15 +19,17 @@
 //!   pure optimisation.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 
-use opec_aces::{build_aces_image, AcesRuntime, AcesStrategy};
+use opec_aces::AcesStrategy;
 use opec_apps::programs::{aces_comparison_apps, all_apps};
 use opec_apps::App;
 use opec_armv7m::{Board, Machine};
-use opec_core::{compile, OpecMonitor};
+use opec_core::Armv7mBackend;
 use opec_ir::{BinOp, Module, ModuleBuilder, Operand, Ty};
-use opec_vm::{link_baseline, ExecMode, LoadedImage, Supervisor, Vm};
+use opec_oracle::Firmware;
+use opec_vm::{link_baseline, ExecMode, Supervisor, Vm, VmBuilder};
 
 use opec_campaign::CampaignReport;
 use opec_fleet::FleetBackend;
@@ -84,19 +86,10 @@ fn alu_module() -> Module {
     mb.finish()
 }
 
-/// One timed run: executes `image` under `mode` and returns
+/// One timed run: builds `vm` under `mode`, executes it and returns
 /// `(instructions, seconds)`.
-fn timed_run<S: Supervisor>(
-    image: std::sync::Arc<LoadedImage>,
-    supervisor: S,
-    machine: Machine,
-    mode: ExecMode,
-) -> (u64, f64) {
-    let mut vm = Vm::builder(machine, image)
-        .supervisor(supervisor)
-        .exec_mode(mode)
-        .build()
-        .expect("bench image");
+fn timed_run<S: Supervisor>(vm: VmBuilder<S>, mode: ExecMode) -> (u64, f64) {
+    let mut vm = vm.exec_mode(mode).build().expect("bench image");
     let start = Instant::now();
     let _ = vm.run(FUEL);
     (vm.stats.insts, start.elapsed().as_secs_f64())
@@ -162,28 +155,21 @@ fn throughput(
 /// The ALU microbenchmark: baseline link, no supervisor, no devices.
 fn micro_throughput() -> Throughput {
     let board = Board::stm32f4_discovery();
-    let image = std::sync::Arc::new(link_baseline(alu_module(), board).expect("bench link"));
+    let image = Arc::new(link_baseline(alu_module(), board).expect("bench link"));
     throughput("alu-loop".into(), "micro", 5, |mode| {
-        timed_run(image.clone(), opec_vm::NullSupervisor, Machine::new(board), mode)
+        timed_run(Vm::builder(Machine::new(board), image.clone()), mode)
     })
 }
 
 fn opec_throughput(app: &App, sel: FleetBackend) -> Throughput {
-    let (module, specs) = (app.build)();
-    let out =
-        compile(module, app.board, &specs).unwrap_or_else(|e| panic!("{} compile: {e}", app.name));
-    let policy = out.policy.clone();
-    let image = std::sync::Arc::new(out.image);
+    let fw = Firmware::from(app);
+    let build = fw.opec().unwrap_or_else(|e| panic!("{} compile: {e}", app.name));
+    let image = Arc::new(build.out.image.clone());
     let backend = sel.dyn_backend();
     throughput(app.name.to_string(), "OPEC", APP_REPS, |mode| {
-        let mut m = backend.make_machine(app.board);
-        (app.setup)(&mut m);
-        timed_run(
-            image.clone(),
-            OpecMonitor::with_backend(policy.clone(), std::sync::Arc::clone(&backend)),
-            m,
-            mode,
-        )
+        let vm = Vm::builder(fw.machine(&*backend), image.clone())
+            .supervisor(build.monitor(Arc::clone(&backend)));
+        timed_run(vm, mode)
     })
 }
 
@@ -214,14 +200,11 @@ fn switch_costs(sel: FleetBackend) -> Vec<SwitchCost> {
     all_apps()
         .iter()
         .map(|app| {
-            let (module, specs) = (app.build)();
-            let out = compile(module, app.board, &specs)
-                .unwrap_or_else(|e| panic!("{} compile: {e}", app.name));
+            let fw = Firmware::from(app);
+            let build = fw.opec().unwrap_or_else(|e| panic!("{} compile: {e}", app.name));
             let backend = sel.dyn_backend();
-            let mut m = backend.make_machine(app.board);
-            (app.setup)(&mut m);
-            let mut vm = Vm::builder(m, out.image)
-                .supervisor(OpecMonitor::with_backend(out.policy.clone(), backend))
+            let mut vm = Vm::builder(fw.machine(&*backend), build.out.image.clone())
+                .supervisor(build.monitor(backend))
                 .build()
                 .unwrap_or_else(|e| panic!("{} image: {e}", app.name));
             let _ = vm.run(FUEL);
@@ -232,23 +215,13 @@ fn switch_costs(sel: FleetBackend) -> Vec<SwitchCost> {
 }
 
 fn aces_throughput(app: &App) -> Throughput {
-    let (module, _) = (app.build)();
-    let out = build_aces_image(module, app.board, AcesStrategy::Filename)
-        .unwrap_or_else(|e| panic!("{} ACES build: {e}", app.name));
-    let main_comp = out.comps.of(out.image.entry);
-    let image = std::sync::Arc::new(out.image);
+    let fw = Firmware::from(app);
+    let build =
+        fw.aces(AcesStrategy::Filename).unwrap_or_else(|e| panic!("{} ACES build: {e}", app.name));
+    let image = Arc::new(build.out.image.clone());
     throughput(app.name.to_string(), "ACES", APP_REPS, |mode| {
-        let rt = AcesRuntime::new(
-            &image.module,
-            out.comps.clone(),
-            out.regions.clone(),
-            app.board,
-            out.stack,
-            main_comp,
-        );
-        let mut m = Machine::new(app.board);
-        (app.setup)(&mut m);
-        timed_run(image.clone(), rt, m, mode)
+        let vm = Vm::builder(fw.machine(&Armv7mBackend), image.clone()).supervisor(build.runtime());
+        timed_run(vm, mode)
     })
 }
 
@@ -261,35 +234,29 @@ struct CampaignBench {
 }
 
 fn campaign_bench() -> CampaignBench {
-    let app = opec_apps::programs::pinlock::app();
-    let (module, specs) = (app.build)();
-    let out = compile(module, app.board, &specs).expect("pinlock compile");
-    let policy = out.policy.clone();
-    let image = std::sync::Arc::new(out.image);
+    let fw = Firmware::from(&opec_apps::programs::pinlock::app());
+    let build = fw.opec().expect("pinlock compile");
+    let image = Arc::new(build.out.image.clone());
+    let boot = || {
+        let mut vm = Vm::builder(fw.machine(&Armv7mBackend), image.clone())
+            .supervisor(build.monitor(Arc::new(Armv7mBackend)))
+            .build()
+            .expect("pinlock image");
+        vm.boot().expect("pinlock boot");
+        vm
+    };
 
     // The seed shape: every campaign reconstructs the world.
     let mut naive_secs = 0f64;
     for _ in 0..NAIVE_RESETS {
         let start = Instant::now();
-        let mut machine = Machine::new(app.board);
-        (app.setup)(&mut machine);
-        let mut vm = Vm::builder(machine, image.clone())
-            .supervisor(OpecMonitor::new(policy.clone()))
-            .build()
-            .expect("pinlock image");
-        vm.boot().expect("pinlock boot");
+        let mut vm = boot();
         naive_secs += start.elapsed().as_secs_f64();
         let _ = vm.resume(DIRTY_FUEL);
     }
 
     // The fork-server shape: one world, reset by dirty-page restore.
-    let mut machine = Machine::new(app.board);
-    (app.setup)(&mut machine);
-    let mut vm = Vm::builder(machine, image.clone())
-        .supervisor(OpecMonitor::new(policy))
-        .build()
-        .expect("pinlock image");
-    vm.boot().expect("pinlock boot");
+    let mut vm = boot();
     let Ok(snap) = vm.snapshot();
     let _ = vm.resume(DIRTY_FUEL);
     let mut snap_secs = 0f64;

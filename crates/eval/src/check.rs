@@ -22,22 +22,21 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 use std::sync::Arc;
 
-use opec_aces::{build_aces_image, AcesRuntime, AcesStrategy};
+use opec_aces::AcesStrategy;
 use opec_apps::programs::{aces_comparison_apps, all_apps};
 use opec_apps::App;
-use opec_armv7m::Machine;
 use opec_campaign::json::{self, Value};
 use opec_campaign::{run_campaign, CampaignOpts, CampaignReport, Job, JobOutcome, JobResult};
-use opec_core::{compile, OpecMonitor};
+use opec_core::Armv7mBackend;
 use opec_fleet::FleetBackend;
 use opec_ir::{GlobalId, Module};
 use opec_obs::export::{event_log, metrics_json};
 use opec_obs::{Obs, OpId, Recorder};
 use opec_oracle::{
-    describe, divergence_key, generate, run_aces_with, run_opec_on, shadow, shrink, AccessMatrix,
-    Corpus, FirmwareSpec, OracleState, RunBudget, RunHalt, Verdict, GEN_FUEL,
+    describe, divergence_key, generate, run_aces_with, run_end, run_opec_on, shadow, shrink,
+    Corpus, Firmware, FirmwareSpec, RunBudget, RunHalt, Verdict, GEN_FUEL,
 };
-use opec_vm::{ExecMode, LoadedImage, RunOutcome, Supervisor, Trace, Vm, VmError, VmStats};
+use opec_vm::{ExecMode, RunOutcome, Supervisor, Trace, Vm, VmBuilder, VmStats};
 
 use crate::engine::{EngineOpts, RunLimits};
 use crate::metrics::{et_by_task, pt_of_compartments};
@@ -75,7 +74,7 @@ impl Default for CheckOptions {
 
 /// The oracle's verdict over one subject (one app or one generated
 /// firmware under one enforcement stack).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CaseResult {
     /// Subject name (`PinLock`, `gen[7]`, ...).
     pub name: String,
@@ -253,41 +252,15 @@ impl CheckReport {
     }
 }
 
-/// Whether (and how) a job's VM work was cut short by its budget.
-/// Folded over every run the job performs, then mapped onto the
-/// engine's [`JobResult`]: a watchdog stop may be transient host load
-/// (retried once), fuel exhaustion is guest-deterministic (never
-/// retried).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum BudgetHalt {
-    /// Every run finished within budget.
-    Ran,
-    /// A run exhausted its guest fuel budget.
-    Fuel,
-    /// The wall-clock watchdog stopped a run.
-    Timeout,
-}
-
-impl BudgetHalt {
-    pub(crate) fn from_oracle(halt: Option<RunHalt>) -> BudgetHalt {
-        match halt {
-            None => BudgetHalt::Ran,
-            Some(RunHalt::FuelExhausted) => BudgetHalt::Fuel,
-            Some(RunHalt::TimedOut) => BudgetHalt::Timeout,
-        }
-    }
-
-    /// The more severe of two halts (`Timeout > Fuel > Ran`).
-    fn worst(self, other: BudgetHalt) -> BudgetHalt {
-        self.max(other)
-    }
-
-    pub(crate) fn result(self, payload: String) -> JobResult {
-        match self {
-            BudgetHalt::Ran => JobResult::Done(payload),
-            BudgetHalt::Fuel => JobResult::FuelExhausted(payload),
-            BudgetHalt::Timeout => JobResult::TimedOut(payload),
-        }
+/// Maps how a job's VM work ended onto the engine's [`JobResult`]: a
+/// watchdog stop may be transient host load (retried once), fuel
+/// exhaustion is guest-deterministic (never retried). `halt` is the
+/// worst over every run the job performed.
+pub(crate) fn job_result(halt: Option<RunHalt>, payload: String) -> JobResult {
+    match halt {
+        None => JobResult::Done(payload),
+        Some(RunHalt::FuelExhausted) => JobResult::FuelExhausted(payload),
+        Some(RunHalt::TimedOut) => JobResult::TimedOut(payload),
     }
 }
 
@@ -379,18 +352,7 @@ fn panicked_case(name: String, system: &'static str, payload: &str) -> CaseResul
         .ok()
         .and_then(|v| v.get("panic").and_then(Value::as_str).map(str::to_string))
         .unwrap_or_else(|| "lost payload".to_string());
-    CaseResult {
-        name,
-        system,
-        divergences: Vec::new(),
-        total: 0,
-        checks: 0,
-        probes: 0,
-        switches: 0,
-        run_error: Some(format!("host panic: {msg}")),
-        shrunk: None,
-        note: None,
-    }
+    CaseResult { name, system, run_error: Some(format!("host panic: {msg}")), ..Default::default() }
 }
 
 fn bytes_of(module: &Module, globals: &BTreeSet<GlobalId>) -> u64 {
@@ -405,24 +367,13 @@ fn et(used: u64, needed: u64) -> f64 {
     }
 }
 
-fn state_case(
-    name: String,
-    system: &'static str,
-    st: &OracleState,
-    run_error: Option<String>,
-) -> CaseResult {
-    CaseResult {
-        name,
-        system,
-        divergences: st.divergences.iter().map(|d| d.to_string()).collect(),
-        total: st.total_divergences,
-        checks: st.checks,
-        probes: st.probes,
-        switches: st.switches,
-        run_error,
-        shrunk: None,
-        note: None,
-    }
+/// The case of a paper application's run. An application that stops at
+/// its budget has failed its check, so the budget stop is reported as
+/// the case's run error as well as the job's outcome.
+fn app_case(app: &App, system: &'static str, v: &Verdict) -> CaseResult {
+    let mut case = verdict_case(app.name.to_string(), system, v);
+    case.run_error = v.halt.map(|h| h.to_string()).or(case.run_error);
+    case
 }
 
 fn verdict_case(name: String, system: &'static str, v: &Verdict) -> CaseResult {
@@ -435,8 +386,7 @@ fn verdict_case(name: String, system: &'static str, v: &Verdict) -> CaseResult {
         probes: v.probes,
         switches: v.switches,
         run_error: v.run_error.clone(),
-        shrunk: None,
-        note: None,
+        ..Default::default()
     }
 }
 
@@ -448,43 +398,26 @@ pub fn check_opec_app(
     app: &App,
     limits: &RunLimits,
     sel: FleetBackend,
-) -> (CaseResult, Vec<CrossCheck>, BudgetHalt) {
+) -> (CaseResult, Vec<CrossCheck>, Option<RunHalt>) {
     let backend = sel.dyn_backend();
-    let (module, specs) = (app.build)();
-    let out =
-        compile(module, app.board, &specs).unwrap_or_else(|e| panic!("{} compile: {e}", app.name));
-    let matrix = AccessMatrix::opec(&out.image.module, &out.partition, &out.policy)
-        .with_boundary_granularity(backend.boundary_granularity(out.policy.stack));
+    let fw = Firmware::from(app);
+    let build = fw.opec().unwrap_or_else(|e| panic!("{} compile: {e}", app.name));
+    let matrix = build.matrix(&*backend);
     let trace = Rc::new(RefCell::new(Trace::new()));
     let obs = Obs::single(trace.clone());
     let (watcher, handle) = shadow(matrix.clone(), obs.clone());
-    let mut machine = backend.make_machine(app.board);
-    (app.setup)(&mut machine);
-    let mut vm = Vm::builder(machine, out.image.clone())
-        .supervisor(OpecMonitor::with_backend(out.policy.clone(), backend))
+    let mut vm = Vm::builder(fw.machine(&*backend), build.out.image.clone())
+        .supervisor(build.monitor(backend))
         .obs(obs)
         .watcher(watcher)
         .build()
         .expect("opec vm");
     vm.set_deadline(limits.deadline);
-    // A budget stop is still a run error here — a paper app that fails
-    // to halt within its budget is a check failure — but it is also
-    // surfaced as the job's outcome, so the campaign summary and exit
-    // code distinguish "bounded" from "diverged".
-    let (cycles, mut run_error, halt) = match vm.run(limits.fuel) {
-        Ok(run @ RunOutcome::Halted { .. }) => (run.cycles(), None, BudgetHalt::Ran),
-        Ok(run) => (run.cycles(), Some(format!("did not halt: {run:?}")), BudgetHalt::Ran),
-        Err(e @ VmError::OutOfFuel) => (0, Some(format!("{e}")), BudgetHalt::Fuel),
-        Err(e @ VmError::TimedOut) => (0, Some(format!("{e}")), BudgetHalt::Timeout),
-        Err(e) => (0, Some(format!("{e}")), BudgetHalt::Ran),
-    };
-    if run_error.is_none() {
-        if let Err(e) = (app.check)(&mut vm.machine) {
-            run_error = Some(format!("workload check: {e}"));
-        }
-    }
-    let st = handle.take();
-    let case = state_case(app.name.to_string(), "OPEC", &st, run_error);
+    let result = vm.run(limits.fuel);
+    let cycles = result.as_ref().map_or(0, RunOutcome::cycles);
+    let (halt, run_error) = run_end(&fw, &mut vm, result);
+    let v = Verdict::new(handle.take(), halt, run_error);
+    let case = app_case(app, "OPEC", &v);
 
     // The evaluation's view of the same run, for the ET cross-check.
     let eval = AppEval {
@@ -495,11 +428,11 @@ pub fn check_opec_app(
         base_sram: 0,
         opec: Arc::new(OpecRun {
             cycles,
-            flash_used: out.image.flash_used,
-            sram_used: out.image.sram_used,
+            flash_used: build.out.image.flash_used,
+            sram_used: build.out.image.sram_used,
             trace: trace.borrow().clone(),
             monitor: vm.supervisor.stats,
-            compile: out,
+            compile: build.out,
         }),
         aces: Vec::new(),
     };
@@ -512,7 +445,7 @@ pub fn check_opec_app(
     for (op, _entry, funcs) in eval.opec.trace.tasks() {
         from_trace.entry(op).or_default().extend(funcs);
     }
-    let from_oracle: BTreeMap<OpId, BTreeSet<_>> = st
+    let from_oracle: BTreeMap<OpId, BTreeSet<_>> = v
         .exec
         .iter()
         .filter(|(op, _)| usize::from(**op) != 0)
@@ -561,20 +494,12 @@ pub fn check_opec_app(
 /// the oracle attached and cross-checks PT: Equation 1 recomputed from
 /// the matrix's granted/needed byte counts against
 /// [`pt_of_compartments`].
-fn check_aces_app(app: &App, limits: &RunLimits) -> (CaseResult, Vec<CrossCheck>, BudgetHalt) {
-    let (module, _) = (app.build)();
-    let out = build_aces_image(module, app.board, AcesStrategy::Filename)
-        .unwrap_or_else(|e| panic!("{} ACES build: {e}", app.name));
-    let main_comp = out.comps.of(out.image.entry);
-    let matrix = AccessMatrix::aces(
-        &out.image.module,
-        &out.comps,
-        &out.regions,
-        out.stack,
-        app.board.flash.base,
-        main_comp,
-    );
-
+fn check_aces_app(app: &App, limits: &RunLimits) -> (CaseResult, Vec<CrossCheck>, Option<RunHalt>) {
+    let fw = Firmware::from(app);
+    let build =
+        fw.aces(AcesStrategy::Filename).unwrap_or_else(|e| panic!("{} ACES build: {e}", app.name));
+    let matrix = build.matrix();
+    let out = &build.out;
     let reference = pt_of_compartments(&out.image.module, &out.comps, &out.regions);
     let matrix_pt: Vec<f64> = matrix
         .ops
@@ -599,34 +524,9 @@ fn check_aces_app(app: &App, limits: &RunLimits) -> (CaseResult, Vec<CrossCheck>
         },
     }];
 
-    let rt = AcesRuntime::new(
-        &out.image.module,
-        out.comps.clone(),
-        out.regions.clone(),
-        app.board,
-        out.stack,
-        main_comp,
-    );
-    let (watcher, handle) = shadow(matrix, Obs::disabled());
-    let mut machine = Machine::new(app.board);
-    (app.setup)(&mut machine);
-    let mut vm =
-        Vm::builder(machine, out.image).supervisor(rt).watcher(watcher).build().expect("aces vm");
-    vm.set_deadline(limits.deadline);
-    let (mut run_error, halt) = match vm.run(limits.fuel) {
-        Ok(RunOutcome::Halted { .. }) => (None, BudgetHalt::Ran),
-        Ok(run) => (Some(format!("did not halt: {run:?}")), BudgetHalt::Ran),
-        Err(e @ VmError::OutOfFuel) => (Some(format!("{e}")), BudgetHalt::Fuel),
-        Err(e @ VmError::TimedOut) => (Some(format!("{e}")), BudgetHalt::Timeout),
-        Err(e) => (Some(format!("{e}")), BudgetHalt::Ran),
-    };
-    if run_error.is_none() {
-        if let Err(e) = (app.check)(&mut vm.machine) {
-            run_error = Some(format!("workload check: {e}"));
-        }
-    }
-    let st = handle.take();
-    (state_case(app.name.to_string(), "ACES", &st, run_error), crosschecks, halt)
+    let budget = RunBudget { fuel: limits.fuel, deadline: limits.deadline };
+    let v = run_aces_with(&fw, &budget).unwrap_or_else(|e| panic!("{} ACES run: {e}", app.name));
+    (app_case(app, "ACES", &v), crosschecks, v.halt)
 }
 
 /// The plan shrinking should start from: the divergent input itself,
@@ -663,12 +563,11 @@ fn gen_opec_case(
     budget: &RunBudget,
     sel: FleetBackend,
     corpus: Option<&Corpus>,
-) -> (CaseResult, BudgetHalt) {
+) -> (CaseResult, Option<RunHalt>) {
     match run_opec_on(spec, None, budget, sel.dyn_backend()) {
         Ok(v) => {
             let mut case = verdict_case(format!("gen[{seed}]"), "OPEC", &v);
-            let halt = BudgetHalt::from_oracle(v.halt);
-            if halt != BudgetHalt::Ran {
+            if v.halt.is_some() {
                 case.note = Some("stopped by budget".to_string());
             }
             if !v.clean() && do_shrink {
@@ -680,22 +579,16 @@ fn gen_opec_case(
                 let small = shrink(start, &mut diverges, SHRINK_BUDGET);
                 case.shrunk = Some(describe(&small));
             }
-            (case, halt)
+            (case, v.halt)
         }
         Err(e) => (
             CaseResult {
                 name: format!("gen[{seed}]"),
                 system: "OPEC",
-                divergences: Vec::new(),
-                total: 0,
-                checks: 0,
-                probes: 0,
-                switches: 0,
                 run_error: Some(e),
-                shrunk: None,
-                note: None,
+                ..Default::default()
             },
-            BudgetHalt::Ran,
+            None,
         ),
     }
 }
@@ -706,23 +599,22 @@ fn gen_aces_case(
     seed: u64,
     do_shrink: bool,
     budget: &RunBudget,
-) -> (CaseResult, BudgetHalt) {
-    match run_aces_with(spec, budget) {
+) -> (CaseResult, Option<RunHalt>) {
+    match run_aces_with(&spec.into(), budget) {
         Ok(v) => {
             let mut case = verdict_case(format!("gen[{seed}]"), "ACES", &v);
-            let halt = BudgetHalt::from_oracle(v.halt);
-            if halt != BudgetHalt::Ran {
+            if v.halt.is_some() {
                 case.note = Some("stopped by budget".to_string());
             }
             if !v.clean() && do_shrink {
                 let small = shrink(
                     spec,
-                    |s| run_aces_with(s, budget).is_ok_and(|v| v.total_divergences > 0),
+                    |s| run_aces_with(&s.into(), budget).is_ok_and(|v| v.total_divergences > 0),
                     SHRINK_BUDGET,
                 );
                 case.shrunk = Some(describe(&small));
             }
-            (case, halt)
+            (case, v.halt)
         }
         // ACES can reject a plan outright (group-region overflow on
         // MPU hardware limits) — a scalability property, not a
@@ -731,16 +623,10 @@ fn gen_aces_case(
             CaseResult {
                 name: format!("gen[{seed}]"),
                 system: "ACES",
-                divergences: Vec::new(),
-                total: 0,
-                checks: 0,
-                probes: 0,
-                switches: 0,
-                run_error: None,
-                shrunk: None,
                 note: Some(format!("build skipped: {e}")),
+                ..Default::default()
             },
-            BudgetHalt::Ran,
+            None,
         ),
     }
 }
@@ -770,14 +656,8 @@ fn aces_skip_case(name: String, sel: FleetBackend) -> CaseResult {
     CaseResult {
         name,
         system: "ACES",
-        divergences: Vec::new(),
-        total: 0,
-        checks: 0,
-        probes: 0,
-        switches: 0,
-        run_error: None,
-        shrunk: None,
         note: Some(format!("skipped: ACES targets the ARMv7-M MPU, not {}", sel.name())),
+        ..Default::default()
     }
 }
 
@@ -855,7 +735,7 @@ pub fn run_check_with(
                 move |ctx| {
                     let limits = RunLimits::from_ctx(ctx);
                     let (case, xcs, halt) = check_opec_app(app, &limits, sel);
-                    halt.result(app_payload(&case, &xcs))
+                    job_result(halt, app_payload(&case, &xcs))
                 },
             ),
             CheckJob::AcesApp(app) => Job::new(
@@ -864,7 +744,7 @@ pub fn run_check_with(
                 move |ctx| {
                     let limits = RunLimits::from_ctx(ctx);
                     let (case, xcs, halt) = check_aces_app(app, &limits);
-                    halt.result(app_payload(&case, &xcs))
+                    job_result(halt, app_payload(&case, &xcs))
                 },
             ),
             CheckJob::Gen(seed) => Job::new(
@@ -879,14 +759,17 @@ pub fn run_check_with(
                     let (opec_case, h1) =
                         gen_opec_case(&spec, seed, do_shrink, &budget, sel, corpus);
                     if !sel.has_aces() {
-                        return h1.result(format!("{{\"opec\":{}}}", case_json(&opec_case)));
+                        return job_result(h1, format!("{{\"opec\":{}}}", case_json(&opec_case)));
                     }
                     let (aces_case, h2) = gen_aces_case(&spec, seed, do_shrink, &budget);
-                    h1.worst(h2).result(format!(
-                        "{{\"opec\":{},\"aces\":{}}}",
-                        case_json(&opec_case),
-                        case_json(&aces_case)
-                    ))
+                    job_result(
+                        h1.max(h2),
+                        format!(
+                            "{{\"opec\":{},\"aces\":{}}}",
+                            case_json(&opec_case),
+                            case_json(&aces_case)
+                        ),
+                    )
                 },
             ),
         })
@@ -988,28 +871,22 @@ struct LockRun {
     outcome: String,
 }
 
-/// Runs one subject once under `mode` with a recorder attached. The
-/// second component reports whether the run was stopped by the fuel
-/// budget (both modes burn identical fuel, so under a tight `--fuel`
-/// the two sides halt at the same instruction and still compare equal).
+/// Runs one subject once under `mode` with a recorder attached, and
+/// reports whether its budget stopped it (both modes burn identical
+/// fuel, so under a tight `--fuel` the two sides halt at the same
+/// instruction and still compare equal).
 fn lock_run<S: Supervisor>(
-    image: Arc<LoadedImage>,
-    supervisor: S,
-    machine: Machine,
+    vm: VmBuilder<S>,
     mode: ExecMode,
     fuel: u64,
-) -> (LockRun, bool) {
+) -> (LockRun, Option<RunHalt>) {
     let rec = Rc::new(RefCell::new(Recorder::with_capacity(LOCKSTEP_RING).with_funcs()));
-    let mut vm = Vm::builder(machine, image)
-        .supervisor(supervisor)
-        .exec_mode(mode)
-        .obs(Obs::single(rec.clone()))
-        .build()
-        .expect("lockstep image");
-    let (outcome, halted) = match vm.run(fuel) {
-        Ok(o) => (format!("{o:?}"), false),
-        Err(e @ VmError::OutOfFuel) => (format!("error: {e}"), true),
-        Err(e) => (format!("error: {e}"), false),
+    let mut vm = vm.exec_mode(mode).obs(Obs::single(rec.clone())).build().expect("lockstep image");
+    let result = vm.run(fuel);
+    let halt = result.as_ref().err().and_then(RunHalt::of);
+    let outcome = match result {
+        Ok(o) => format!("{o:?}"),
+        Err(e) => format!("error: {e}"),
     };
     let stats = vm.stats;
     drop(vm);
@@ -1022,7 +899,7 @@ fn lock_run<S: Supervisor>(
         stats,
         outcome,
     };
-    (run, halted)
+    (run, halt)
 }
 
 /// Folds the two sides into a [`CaseResult`]; every difference is a
@@ -1055,9 +932,8 @@ fn compare_lock(name: String, system: &'static str, plain: &LockRun, dec: &LockR
         checks: plain.total_events,
         probes: 0,
         switches: plain.switches,
-        run_error: None,
-        shrunk: None,
         note: Some("plain vs decoded lockstep".into()),
+        ..Default::default()
     }
 }
 
@@ -1080,104 +956,48 @@ fn lock_error(name: String, system: &'static str, error: String) -> CaseResult {
     CaseResult {
         name,
         system,
-        divergences: Vec::new(),
-        total: 0,
-        checks: 0,
-        probes: 0,
-        switches: 0,
         run_error: Some(error),
-        shrunk: None,
         note: Some("plain vs decoded lockstep".into()),
+        ..Default::default()
     }
 }
 
-fn lockstep_opec_app(app: &App, fuel: u64, sel: FleetBackend) -> (CaseResult, BudgetHalt) {
+/// Runs one subject under both execution modes, each on a VM from
+/// `vm`, and compares the two sides.
+fn lockstep<S: Supervisor>(
+    name: String,
+    system: &'static str,
+    fuel: u64,
+    vm: impl Fn() -> VmBuilder<S>,
+) -> (CaseResult, Option<RunHalt>) {
+    let (plain, h1) = lock_run(vm(), ExecMode::Plain, fuel);
+    let (decoded, h2) = lock_run(vm(), ExecMode::Decoded, fuel);
+    (compare_lock(name, system, &plain, &decoded), h1.max(h2))
+}
+
+/// Lockstep for one firmware under OPEC on `sel`.
+fn lockstep_opec(fw: &Firmware<'_>, fuel: u64, sel: FleetBackend) -> (CaseResult, Option<RunHalt>) {
+    let build = match fw.opec() {
+        Ok(build) => build,
+        Err(e) => return (lock_error(fw.name(), "OPEC", format!("compile: {e}")), None),
+    };
     let backend = sel.dyn_backend();
-    let (module, specs) = (app.build)();
-    match compile(module, app.board, &specs) {
-        Ok(out) => {
-            let policy = out.policy.clone();
-            let image = Arc::new(out.image);
-            let run = |mode| {
-                let mut machine = backend.make_machine(app.board);
-                (app.setup)(&mut machine);
-                lock_run(
-                    image.clone(),
-                    OpecMonitor::with_backend(policy.clone(), Arc::clone(&backend)),
-                    machine,
-                    mode,
-                    fuel,
-                )
-            };
-            let (plain, h1) = run(ExecMode::Plain);
-            let (decoded, h2) = run(ExecMode::Decoded);
-            let halt = if h1 || h2 { BudgetHalt::Fuel } else { BudgetHalt::Ran };
-            (compare_lock(app.name.to_string(), "OPEC", &plain, &decoded), halt)
-        }
-        Err(e) => {
-            (lock_error(app.name.to_string(), "OPEC", format!("compile: {e}")), BudgetHalt::Ran)
-        }
-    }
+    lockstep(fw.name(), "OPEC", fuel, || {
+        Vm::builder(fw.machine(&*backend), build.out.image.clone())
+            .supervisor(build.monitor(Arc::clone(&backend)))
+    })
 }
 
-fn lockstep_aces_app(app: &App, fuel: u64) -> (CaseResult, BudgetHalt) {
-    let (module, _) = (app.build)();
-    match build_aces_image(module, app.board, AcesStrategy::Filename) {
-        Ok(out) => {
-            let main_comp = out.comps.of(out.image.entry);
-            let image = Arc::new(out.image);
-            let run = |mode| {
-                let rt = AcesRuntime::new(
-                    &image.module,
-                    out.comps.clone(),
-                    out.regions.clone(),
-                    app.board,
-                    out.stack,
-                    main_comp,
-                );
-                let mut machine = Machine::new(app.board);
-                (app.setup)(&mut machine);
-                lock_run(image.clone(), rt, machine, mode, fuel)
-            };
-            let (plain, h1) = run(ExecMode::Plain);
-            let (decoded, h2) = run(ExecMode::Decoded);
-            let halt = if h1 || h2 { BudgetHalt::Fuel } else { BudgetHalt::Ran };
-            (compare_lock(app.name.to_string(), "ACES", &plain, &decoded), halt)
-        }
-        Err(e) => {
-            (lock_error(app.name.to_string(), "ACES", format!("ACES build: {e}")), BudgetHalt::Ran)
-        }
-    }
-}
-
-fn lockstep_generated(seed: u64, fuel: u64, sel: FleetBackend) -> (CaseResult, BudgetHalt) {
-    let backend = sel.dyn_backend();
-    let spec = generate(seed);
-    let specs = spec.op_specs();
-    match compile(spec.build_module(), spec.board(), &specs) {
-        Ok(out) => {
-            let policy = out.policy.clone();
-            let image = Arc::new(out.image);
-            let run = |mode| {
-                let mut machine = backend.make_machine(spec.board());
-                spec.install_devices(&mut machine);
-                lock_run(
-                    image.clone(),
-                    OpecMonitor::with_backend(policy.clone(), Arc::clone(&backend)),
-                    machine,
-                    mode,
-                    fuel,
-                )
-            };
-            let (plain, h1) = run(ExecMode::Plain);
-            let (decoded, h2) = run(ExecMode::Decoded);
-            let halt = if h1 || h2 { BudgetHalt::Fuel } else { BudgetHalt::Ran };
-            (compare_lock(format!("gen[{seed}]"), "OPEC", &plain, &decoded), halt)
-        }
-        Err(e) => {
-            (lock_error(format!("gen[{seed}]"), "OPEC", format!("compile: {e}")), BudgetHalt::Ran)
-        }
-    }
+/// Lockstep for one application under ACES.
+fn lockstep_aces(app: &App, fuel: u64) -> (CaseResult, Option<RunHalt>) {
+    let fw = Firmware::from(app);
+    let build = match fw.aces(AcesStrategy::Filename) {
+        Ok(build) => build,
+        Err(e) => return (lock_error(fw.name(), "ACES", format!("ACES build: {e}")), None),
+    };
+    lockstep(fw.name(), "ACES", fuel, || {
+        Vm::builder(fw.machine(&Armv7mBackend), build.out.image.clone()).supervisor(build.runtime())
+    })
 }
 
 /// Runs every subject twice — plain interpreter vs the pre-decoded
@@ -1234,24 +1054,25 @@ pub fn run_lockstep_with(
                     sel.name()
                 ),
                 move |ctx| {
-                    let (case, halt) = lockstep_opec_app(app, ctx.fuel, sel);
-                    halt.result(case_json(&case))
+                    let (case, halt) = lockstep_opec(&Firmware::from(app), ctx.fuel, sel);
+                    job_result(halt, case_json(&case))
                 },
             ),
             CheckJob::AcesApp(app) => Job::new(
                 format!("lockstep/{seg}app/{}/aces", job_slug(app.name)),
                 format!("{{\"app\":\"{}\",\"system\":\"ACES\"}}", json::escape(app.name)),
                 move |ctx| {
-                    let (case, halt) = lockstep_aces_app(app, ctx.fuel);
-                    halt.result(case_json(&case))
+                    let (case, halt) = lockstep_aces(app, ctx.fuel);
+                    job_result(halt, case_json(&case))
                 },
             ),
             CheckJob::Gen(seed) => Job::new(
                 format!("lockstep/{seg}gen/{seed}"),
                 format!("{{\"seed\":{seed},\"backend\":\"{}\"}}", sel.name()),
                 move |ctx| {
-                    let (case, halt) = lockstep_generated(seed, ctx.fuel, sel);
-                    halt.result(case_json(&case))
+                    let spec = generate(seed);
+                    let (case, halt) = lockstep_opec(&Firmware::from(&spec), ctx.fuel, sel);
+                    job_result(halt, case_json(&case))
                 },
             ),
         })
@@ -1288,25 +1109,25 @@ mod tests {
         assert!(!case.failed(), "{:?}", case);
         assert!(case.checks > 0 && case.probes > 0 && case.switches > 0);
         assert!(crosschecks.iter().all(|x| x.ok), "{crosschecks:?}");
-        assert_eq!(halt, BudgetHalt::Ran);
+        assert_eq!(halt, None);
 
         let (case, crosschecks, halt) = check_aces_app(&app, &limits);
         assert!(!case.failed(), "{:?}", case);
         assert!(crosschecks.iter().all(|x| x.ok), "{crosschecks:?}");
-        assert_eq!(halt, BudgetHalt::Ran);
+        assert_eq!(halt, None);
     }
 
     #[test]
     fn pinlock_lockstep_has_zero_divergences() {
         let app = opec_apps::programs::pinlock::app();
-        let (case, halt) = lockstep_opec_app(&app, FUEL, FleetBackend::Armv7m);
+        let (case, halt) = lockstep_opec(&Firmware::from(&app), FUEL, FleetBackend::Armv7m);
         assert_eq!(case.total, 0, "OPEC: {:?}", case.divergences);
         assert!(case.run_error.is_none(), "{:?}", case.run_error);
         assert!(case.checks > 0 && case.switches > 0);
-        assert_eq!(halt, BudgetHalt::Ran);
-        let (case, _) = lockstep_aces_app(&app, FUEL);
+        assert_eq!(halt, None);
+        let (case, _) = lockstep_aces(&app, FUEL);
         assert_eq!(case.total, 0, "ACES: {:?}", case.divergences);
-        let (case, _) = lockstep_generated(0, FUEL, FleetBackend::Armv7m);
+        let (case, _) = lockstep_opec(&Firmware::from(&generate(0)), FUEL, FleetBackend::Armv7m);
         assert_eq!(case.total, 0, "gen[0]: {:?}", case.divergences);
     }
 
@@ -1316,9 +1137,9 @@ mod tests {
         // the same instruction, compare equal, and the job surfaces the
         // truncation as FuelExhausted instead of diverging or hanging.
         let app = opec_apps::programs::pinlock::app();
-        let (case, halt) = lockstep_opec_app(&app, 10_000, FleetBackend::Armv7m);
+        let (case, halt) = lockstep_opec(&Firmware::from(&app), 10_000, FleetBackend::Armv7m);
         assert_eq!(case.total, 0, "tight fuel: {:?}", case.divergences);
-        assert_eq!(halt, BudgetHalt::Fuel);
+        assert_eq!(halt, Some(RunHalt::FuelExhausted));
     }
 
     #[test]

@@ -55,7 +55,7 @@ use opec_oracle::{
     RunBudget, Verdict, LATENT_MIN_WINDOWS,
 };
 
-use crate::check::{backend_segment, gen_budget, BudgetHalt};
+use crate::check::{backend_segment, gen_budget, job_result};
 use crate::engine::{EngineOpts, RunLimits};
 
 /// Default jobs per campaign round. Inputs for round *r + 1* are
@@ -458,9 +458,8 @@ pub fn run_fuzz_with(
                     move |ctx| {
                         let budget = gen_budget(&RunLimits::from_ctx(ctx));
                         match run_opec_cov(&spec, None, &budget, sel.dyn_backend()) {
-                            Ok((v, cov)) => BudgetHalt::from_oracle(v.halt)
-                                .result(job_payload(&desc, &spec, &v, &cov)),
-                            Err(e) => BudgetHalt::Ran.result(error_payload(&desc, &spec, &e)),
+                            Ok((v, cov)) => job_result(v.halt, job_payload(&desc, &spec, &v, &cov)),
+                            Err(e) => job_result(None, error_payload(&desc, &spec, &e)),
                         }
                     },
                 )

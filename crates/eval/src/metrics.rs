@@ -141,7 +141,7 @@ pub fn et_by_task(eval: &AppEval) -> EtSeries {
         opec_et.push(et(used_bytes, needed));
         // ACES: needed = dependencies of every compartment involved.
         for (ai, aces) in eval.aces.iter().enumerate() {
-            let involved: BTreeSet<_> = funcs.iter().map(|f| aces.comps.of(*f)).collect();
+            let involved = aces.comps.owners(funcs);
             let needed_globals: BTreeSet<GlobalId> = involved
                 .iter()
                 .flat_map(|c| aces.comps.comps[usize::from(*c)].resources.globals())

@@ -22,14 +22,14 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::thread;
 
-use opec_aces::{build_aces_image, AcesRuntime, AcesStrategy};
+use opec_aces::AcesStrategy;
 use opec_apps::programs::{aces_comparison_apps, all_apps};
 use opec_apps::App;
-use opec_armv7m::Machine;
-use opec_core::{compile, OpecMonitor};
+use opec_core::Armv7mBackend;
 use opec_fleet::FleetBackend;
 use opec_obs::{chrome_trace, metrics_json, Metrics, Obs, Recorder, Stamped};
-use opec_vm::{RunOutcome, Vm};
+use opec_oracle::{Firmware, System};
+use opec_vm::{Supervisor, Vm};
 
 use crate::cli::CliArgs;
 use crate::runs::FUEL;
@@ -85,73 +85,53 @@ fn recorder(args: &CliArgs) -> Rc<RefCell<Recorder>> {
     Rc::new(RefCell::new(if args.funcs { rec.with_funcs() } else { rec }))
 }
 
-fn drain(
+/// Runs `vm` (with `rec` attached) to its workload's stop point, checks
+/// the outcome, and drains the recorder.
+fn finish<S: Supervisor>(
     app: &App,
-    system: &'static str,
-    backend: &'static str,
-    cycles: u64,
+    mut vm: Vm<S>,
     rec: &Rc<RefCell<Recorder>>,
-) -> ObsRun {
+    system: System,
+    backend: &'static str,
+) -> Result<ObsRun, String> {
+    let run = vm.run(FUEL).map_err(|e| format!("run: {e}"))?;
+    Firmware::from(app).check(&run, &mut vm.machine).map_err(|e| format!("check: {e}"))?;
     let rec = rec.borrow();
-    ObsRun {
+    Ok(ObsRun {
         app: app.name,
-        system,
+        system: system.label(),
         backend,
-        cycles,
+        cycles: run.cycles(),
         events: rec.ring.to_vec(),
         metrics: rec.metrics.clone(),
         events_total: rec.ring.total(),
         dropped: rec.ring.dropped(),
-    }
+    })
 }
 
 fn run_opec_obs(app: &App, args: &CliArgs, sel: FleetBackend) -> Result<ObsRun, String> {
-    let (module, specs) = (app.build)();
-    let out = compile(module, app.board, &specs).map_err(|e| format!("compile: {e}"))?;
+    let fw = Firmware::from(app);
+    let build = fw.opec().map_err(|e| format!("compile: {e}"))?;
     let backend = sel.dyn_backend();
-    let mut machine = backend.make_machine(app.board);
-    (app.setup)(&mut machine);
     let rec = recorder(args);
-    let mut vm = Vm::builder(machine, out.image)
-        .supervisor(OpecMonitor::with_backend(out.policy, backend))
+    let vm = Vm::builder(fw.machine(&*backend), build.out.image.clone())
+        .supervisor(build.monitor(backend))
         .obs(Obs::single(rec.clone()))
         .build()
         .map_err(|e| format!("image: {e}"))?;
-    let run = vm.run(FUEL).map_err(|e| format!("run: {e}"))?;
-    if !matches!(run, RunOutcome::Halted { .. }) {
-        return Err(format!("unexpected outcome {run:?}"));
-    }
-    (app.check)(&mut vm.machine).map_err(|e| format!("check: {e}"))?;
-    Ok(drain(app, "opec", sel.name(), run.cycles(), &rec))
+    finish(app, vm, &rec, System::Opec, sel.name())
 }
 
 fn run_aces_obs(app: &App, args: &CliArgs) -> Result<ObsRun, String> {
-    let (module, _) = (app.build)();
-    let out = build_aces_image(module, app.board, OBS_ACES_STRATEGY)
-        .map_err(|e| format!("ACES build: {e}"))?;
-    let main_comp = out.comps.of(out.image.entry);
-    let rt = AcesRuntime::new(
-        &out.image.module,
-        out.comps,
-        out.regions,
-        app.board,
-        out.stack,
-        main_comp,
-    );
-    let mut machine = Machine::new(app.board);
-    (app.setup)(&mut machine);
+    let fw = Firmware::from(app);
+    let build = fw.aces(OBS_ACES_STRATEGY).map_err(|e| format!("ACES build: {e}"))?;
     let rec = recorder(args);
-    let mut vm = Vm::builder(machine, out.image)
-        .supervisor(rt)
+    let vm = Vm::builder(fw.machine(&Armv7mBackend), build.out.image.clone())
+        .supervisor(build.runtime())
         .obs(Obs::single(rec.clone()))
         .build()
         .map_err(|e| format!("image: {e}"))?;
-    let run = vm.run(FUEL).map_err(|e| format!("run: {e}"))?;
-    if !matches!(run, RunOutcome::Halted { .. }) {
-        return Err(format!("unexpected outcome {run:?}"));
-    }
-    (app.check)(&mut vm.machine).map_err(|e| format!("check: {e}"))?;
-    Ok(drain(app, "aces", "armv7m", run.cycles(), &rec))
+    finish(app, vm, &rec, System::Aces, "armv7m")
 }
 
 /// The backends the report instruments: both when `--backend` is

@@ -20,11 +20,12 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::thread;
 
-use opec_aces::{build_aces_image, AcesRuntime, AcesStrategy, Compartments, DataRegions};
+use opec_aces::{AcesStrategy, Compartments, DataRegions};
 use opec_apps::App;
-use opec_armv7m::{Board, Machine};
-use opec_core::{compile, CompileOutput, MonitorStats, OpecMonitor};
-use opec_vm::{link_baseline, Obs, RunOutcome, Trace, Vm};
+use opec_armv7m::Board;
+use opec_core::{Armv7mBackend, CompileOutput, MonitorStats};
+use opec_oracle::Firmware;
+use opec_vm::{Obs, Supervisor, Trace, Vm};
 
 /// Fuel for evaluation runs.
 pub const FUEL: u64 = opec_vm::exec::DEFAULT_FUEL;
@@ -95,48 +96,41 @@ pub struct AppEval {
     pub aces: Vec<Arc<AcesRun>>,
 }
 
-fn fresh_machine(app: &App) -> Machine {
-    let mut m = Machine::new(app.board);
-    (app.setup)(&mut m);
-    m
+/// Runs `vm` to its workload's stop point and checks the outcome;
+/// returns the cycles. `what` names the build in panic messages.
+fn run_to_halt<S: Supervisor>(fw: &Firmware<'_>, vm: &mut Vm<S>, what: &str) -> u64 {
+    let name = fw.name();
+    let run = vm.run(FUEL).unwrap_or_else(|e| panic!("{name} under {what}: {e}"));
+    fw.check(&run, &mut vm.machine).unwrap_or_else(|e| panic!("{name} under {what}: {e}"));
+    run.cycles()
 }
 
 /// Runs the vanilla baseline. Returns `(cycles, flash, sram)`.
 pub(crate) fn run_baseline(app: &App) -> (u64, u32, u32) {
-    let (module, _) = (app.build)();
-    let image = link_baseline(module, app.board).expect("baseline link");
-    let flash = image.flash_used;
-    let sram = image.sram_used;
-    let mut vm = Vm::builder(fresh_machine(app), image).build().expect("baseline vm");
-    let out = vm.run(FUEL).unwrap_or_else(|e| panic!("{} baseline: {e}", app.name));
-    assert!(matches!(out, RunOutcome::Halted { .. }));
-    (app.check)(&mut vm.machine).unwrap_or_else(|e| panic!("{} baseline check: {e}", app.name));
-    (out.cycles(), flash, sram)
+    let fw = Firmware::from(app);
+    let image = fw.baseline().expect("baseline link");
+    let (flash, sram) = (image.flash_used, image.sram_used);
+    let mut vm = Vm::builder(fw.machine(&Armv7mBackend), image).build().expect("baseline vm");
+    (run_to_halt(&fw, &mut vm, "the baseline"), flash, sram)
 }
 
 /// Runs the OPEC build with tracing.
 pub(crate) fn run_opec(app: &App) -> OpecRun {
-    let (module, specs) = (app.build)();
-    let out =
-        compile(module, app.board, &specs).unwrap_or_else(|e| panic!("{} compile: {e}", app.name));
-    let flash = out.image.flash_used;
-    let sram = out.image.sram_used;
-    let policy = out.policy.clone();
+    let fw = Firmware::from(app);
+    let build = fw.opec().unwrap_or_else(|e| panic!("{} compile: {e}", app.name));
     let trace = Rc::new(RefCell::new(Trace::new()));
-    let mut vm = Vm::builder(fresh_machine(app), out.image.clone())
-        .supervisor(OpecMonitor::new(policy))
+    let mut vm = Vm::builder(fw.machine(&Armv7mBackend), build.out.image.clone())
+        .supervisor(build.monitor(Arc::new(Armv7mBackend)))
         .obs(Obs::single(trace.clone()))
         .build()
         .expect("opec vm");
-    let run = vm.run(FUEL).unwrap_or_else(|e| panic!("{} under OPEC: {e}", app.name));
-    assert!(matches!(run, RunOutcome::Halted { .. }));
-    (app.check)(&mut vm.machine).unwrap_or_else(|e| panic!("{} OPEC check: {e}", app.name));
+    let cycles = run_to_halt(&fw, &mut vm, "OPEC");
     let trace = trace.borrow().clone();
     OpecRun {
-        cycles: run.cycles(),
-        flash_used: flash,
-        sram_used: sram,
-        compile: out,
+        cycles,
+        flash_used: build.out.image.flash_used,
+        sram_used: build.out.image.sram_used,
+        compile: build.out,
         trace,
         monitor: vm.supervisor.stats,
     }
@@ -144,38 +138,23 @@ pub(crate) fn run_opec(app: &App) -> OpecRun {
 
 /// Runs one ACES build.
 pub(crate) fn run_aces(app: &App, strategy: AcesStrategy) -> AcesRun {
-    let (module, _) = (app.build)();
-    let total_code_bytes = module.total_code_size();
-    let out = build_aces_image(module, app.board, strategy)
-        .unwrap_or_else(|e| panic!("{} ACES build: {e}", app.name));
-    let flash = out.image.flash_used;
-    let sram = out.image.sram_used;
-    let privileged_code_bytes = out.comps.privileged_code_bytes(&out.image.module);
-    let main_comp = out.comps.of(out.image.entry);
-    let rt = AcesRuntime::new(
-        &out.image.module,
-        out.comps.clone(),
-        out.regions.clone(),
-        app.board,
-        out.stack,
-        main_comp,
-    );
-    let mut vm =
-        Vm::builder(fresh_machine(app), out.image).supervisor(rt).build().expect("aces vm");
-    let run =
-        vm.run(FUEL).unwrap_or_else(|e| panic!("{} under {}: {e}", app.name, strategy.label()));
-    assert!(matches!(run, RunOutcome::Halted { .. }));
-    (app.check)(&mut vm.machine)
-        .unwrap_or_else(|e| panic!("{} {} check: {e}", app.name, strategy.label()));
+    let fw = Firmware::from(app);
+    let build = fw.aces(strategy).unwrap_or_else(|e| panic!("{} ACES build: {e}", app.name));
+    let mut vm = Vm::builder(fw.machine(&Armv7mBackend), build.out.image.clone())
+        .supervisor(build.runtime())
+        .build()
+        .expect("aces vm");
+    let cycles = run_to_halt(&fw, &mut vm, strategy.label());
+    let out = build.out;
     AcesRun {
         strategy,
-        cycles: run.cycles(),
-        flash_used: flash,
-        sram_used: sram,
+        cycles,
+        flash_used: out.image.flash_used,
+        sram_used: out.image.sram_used,
+        privileged_code_bytes: out.comps.privileged_code_bytes(&out.image.module),
+        total_code_bytes: out.image.module.total_code_size(),
         comps: out.comps,
         regions: out.regions,
-        privileged_code_bytes,
-        total_code_bytes,
     }
 }
 

@@ -15,7 +15,7 @@ use std::rc::Rc;
 
 use opec_apps::programs::all_apps;
 use opec_core::compile;
-use opec_eval::check::{check_opec_app, BudgetHalt, CaseResult};
+use opec_eval::check::{check_opec_app, CaseResult};
 use opec_eval::engine::RunLimits;
 use opec_fleet::FleetBackend;
 use opec_obs::{Event, Obs, Sink, Stamped};
@@ -38,7 +38,7 @@ fn access_matrix_verdicts_agree_on_both_backends() {
         for sel in FleetBackend::ALL {
             let (case, crosschecks, halt) = check_opec_app(&app, &limits, sel);
             assert!(
-                matches!(halt, BudgetHalt::Ran),
+                halt.is_none(),
                 "{} on {}: run did not finish within budget ({halt:?})",
                 app.name,
                 sel.name()

@@ -11,16 +11,16 @@
 //! Spawning or resetting a device is then a dirty-page
 //! [`opec_vm::Vm::restore`] — microseconds, not milliseconds.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use opec_apps::programs::{camera, pinlock, tcp_echo, App};
-use opec_armv7m::Board;
-use opec_core::{compile, OpecMonitor, SystemPolicy};
+use opec_apps::programs::{camera, pinlock, tcp_echo};
+use opec_core::{OpecMonitor, SystemPolicy};
 use opec_obs::event::Stamped;
 use opec_obs::{Metrics, Obs, RingBuffer, Sink, SinkHandle};
-use opec_oracle::{generate, FirmwareSpec};
+use opec_oracle::{generate, Firmware, OpecBuild};
 use opec_vm::{LoadedImage, Vm, VmSnapshot};
 
 use crate::mix::{DeviceKind, FleetBackend};
@@ -41,26 +41,15 @@ impl Sink for RingSink {
     }
 }
 
-/// How a template sets up a fresh machine.
-enum Source {
-    /// A paper application: devices and scripted inputs from its
-    /// `setup` hook.
-    App(App),
-    /// A generated firmware: plain-storage peripheral windows from the
-    /// plan.
-    Fuzz(FirmwareSpec),
-}
-
 /// One pre-compiled, pre-warmable device image.
 pub struct Template {
     /// The firmware kind.
     pub kind: DeviceKind,
     /// The protection backend.
     pub backend: FleetBackend,
+    firmware: Firmware<'static>,
     image: Arc<LoadedImage>,
     policy: SystemPolicy,
-    board: Board,
-    source: Source,
 }
 
 impl Template {
@@ -68,39 +57,24 @@ impl Template {
     /// expensive once-per-fleet step; everything per-device forks from
     /// its products.
     pub fn build(kind: DeviceKind, backend: FleetBackend) -> Result<Template, String> {
-        let (board, module, specs, source) = match kind {
-            DeviceKind::TcpEcho => app_parts(tcp_echo::app()),
-            DeviceKind::Pinlock => app_parts(pinlock::app()),
-            DeviceKind::Camera => app_parts(camera::app()),
-            DeviceKind::Fuzz => {
-                let spec = generate(FUZZ_SEED);
-                (spec.board(), spec.build_module(), spec.op_specs(), Source::Fuzz(spec))
-            }
+        let firmware = match kind {
+            DeviceKind::TcpEcho => Firmware::App(tcp_echo::app()),
+            DeviceKind::Pinlock => Firmware::App(pinlock::app()),
+            DeviceKind::Camera => Firmware::App(camera::app()),
+            DeviceKind::Fuzz => Firmware::Generated(Cow::Owned(generate(FUZZ_SEED))),
         };
-        let out = compile(module, board, &specs)
-            .map_err(|e| format!("{} template compile: {e:?}", kind.name()))?;
-        Ok(Template {
-            kind,
-            backend,
-            image: Arc::new(out.image),
-            policy: out.policy,
-            board,
-            source,
-        })
+        let OpecBuild { out } =
+            firmware.opec().map_err(|e| format!("{} template compile: {e:?}", kind.name()))?;
+        Ok(Template { kind, backend, firmware, image: Arc::new(out.image), policy: out.policy })
     }
 
     /// Builds one device VM from scratch: machine, devices, monitor,
     /// boot. This is the init-from-scratch path the snapshot pool
-    /// replaces (and the benchmark's comparison baseline). `sinks`
-    /// become the VM's obs stream.
+    /// replaces (and the benchmark's comparison baseline). `obs`
+    /// becomes the VM's event stream.
     pub fn fresh_vm(&self, obs: Obs) -> Result<Vm<OpecMonitor>, String> {
         let backend = self.backend.dyn_backend();
-        let mut machine = backend.make_machine(self.board);
-        match &self.source {
-            Source::App(app) => (app.setup)(&mut machine),
-            Source::Fuzz(spec) => spec.install_devices(&mut machine),
-        }
-        let mut vm = Vm::builder(machine, self.image.clone())
+        let mut vm = Vm::builder(self.firmware.machine(&*backend), self.image.clone())
             .supervisor(OpecMonitor::with_backend(self.policy.clone(), backend))
             .obs(obs)
             .build()
@@ -123,11 +97,6 @@ impl Template {
         let Ok(golden) = vm.snapshot();
         Ok(ResidentVm { vm, golden, slot })
     }
-}
-
-fn app_parts(app: App) -> (Board, opec_ir::Module, Vec<opec_core::OperationSpec>, Source) {
-    let (module, specs) = (app.build)();
-    (app.board, module, specs, Source::App(app))
 }
 
 /// A worker's resident VM for one template: every device of that

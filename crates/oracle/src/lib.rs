@@ -22,6 +22,11 @@
 //!    through the production pipeline, with greedy shrinking to a
 //!    minimal divergent program when the oracle fires.
 //!
+//! 4. [`firmware`] — one firmware under test (a paper application or a
+//!    generated plan) built as the vanilla baseline, under OPEC or under
+//!    ACES, with each build's supervisor and matrix derived from it; every
+//!    harness in the workspace boots its subjects through it.
+//!
 //! `opec-eval check` drives all of it over the paper's applications
 //! and a batch of generated firmwares; `crates/oracle/tests` prove the
 //! oracle actually catches deliberately broken MPU configurations.
@@ -31,6 +36,7 @@
 pub mod corpus;
 pub mod coverage;
 pub mod divergence;
+pub mod firmware;
 pub mod gen;
 pub mod matrix;
 pub mod mutate;
@@ -42,12 +48,13 @@ pub mod tamper;
 pub use corpus::{Corpus, CorpusEntry};
 pub use coverage::{divergence_key, CoverageMap};
 pub use divergence::{Divergence, Observed};
+pub use firmware::{AcesBuild, Firmware, OpecBuild, System};
 pub use gen::{generate, FirmwareSpec};
 pub use matrix::{AccessMatrix, Expect};
 pub use mutate::{mutate, mutate_stacked, periph_owners, well_formed, Mutator, ALL_MUTATORS};
 pub use run::{
-    run_aces, run_aces_with, run_opec, run_opec_cov, run_opec_on, run_opec_with, RunBudget,
-    RunHalt, Verdict, GEN_FUEL,
+    run_aces, run_aces_with, run_end, run_opec, run_opec_cov, run_opec_on, run_opec_with,
+    RunBudget, RunHalt, Verdict, GEN_FUEL,
 };
 pub use shadow::{shadow, OracleHandle, OracleState, ShadowOracle};
 pub use shrink::{describe, shrink};

@@ -3,23 +3,23 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
-use opec_aces::{build_aces_image, AcesRuntime, AcesStrategy};
-use opec_armv7m::Machine;
+use opec_aces::AcesStrategy;
 use opec_core::backend::{Armv7mBackend, Backend};
-use opec_core::{compile, OpecMonitor, SystemPolicy};
+use opec_core::SystemPolicy;
 use opec_ir::FuncId;
 use opec_obs::{Obs, OpId};
-use opec_vm::{Vm, VmError};
+use opec_vm::{RunOutcome, Supervisor, Vm, VmError};
 
 use crate::coverage::CoverageMap;
 use crate::divergence::Divergence;
+use crate::firmware::Firmware;
 use crate::gen::FirmwareSpec;
-use crate::matrix::AccessMatrix;
-use crate::shadow::shadow;
+use crate::shadow::{shadow, OracleHandle, OracleState};
 
 /// Fuel for generated firmwares — they are tiny; this is generous.
 pub const GEN_FUEL: u64 = 5_000_000;
@@ -44,13 +44,54 @@ impl Default for RunBudget {
 /// Why a bounded run stopped early. Distinct from
 /// [`Verdict::run_error`]: hitting a budget is expected supervision,
 /// not a guest failure, and the divergence counts collected up to the
-/// stop are still meaningful.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// stop are still meaningful. Ordered by severity, so the worst of
+/// several runs' `Option<RunHalt>` is their `max`: a finished run
+/// (`None`) before fuel exhaustion before a watchdog stop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RunHalt {
-    /// The guest exhausted [`RunBudget::fuel`].
+    /// The guest exhausted [`RunBudget::fuel`]; deterministic.
     FuelExhausted,
-    /// The wall-clock deadline passed.
+    /// The wall-clock deadline passed; may be transient host load.
     TimedOut,
+}
+
+impl RunHalt {
+    /// The budget stop `err` reports, or `None` for a guest error.
+    pub fn of(err: &VmError) -> Option<RunHalt> {
+        match err {
+            VmError::OutOfFuel => Some(RunHalt::FuelExhausted),
+            VmError::TimedOut => Some(RunHalt::TimedOut),
+            _ => None,
+        }
+    }
+}
+
+/// Renders as the VM error it stands for (`fuel exhausted`, ...).
+impl fmt::Display for RunHalt {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RunHalt::FuelExhausted => VmError::OutOfFuel.fmt(f),
+            RunHalt::TimedOut => VmError::TimedOut.fmt(f),
+        }
+    }
+}
+
+/// Classifies how a run of `fw` ended into its budget stop and its
+/// error. A budget stop is a [`RunHalt`], not an error; any other VM
+/// error is rendered with `Debug`; a run that ended cleanly is held to
+/// `fw`'s workload check ([`Firmware::check`]).
+pub fn run_end<S: Supervisor>(
+    fw: &Firmware<'_>,
+    vm: &mut Vm<S>,
+    result: Result<RunOutcome, VmError>,
+) -> (Option<RunHalt>, Option<String>) {
+    match result {
+        Ok(outcome) => (None, fw.check(&outcome, &mut vm.machine).err()),
+        Err(e) => match RunHalt::of(&e) {
+            Some(halt) => (Some(halt), None),
+            None => (None, Some(format!("{e:?}"))),
+        },
+    }
 }
 
 /// The oracle's verdict over one run.
@@ -76,19 +117,24 @@ pub struct Verdict {
 }
 
 impl Verdict {
+    /// Folds the shadow oracle's state and how the run ended (see
+    /// [`run_end`]) into a verdict.
+    pub fn new(st: OracleState, halt: Option<RunHalt>, run_error: Option<String>) -> Verdict {
+        Verdict {
+            divergences: st.divergences,
+            total_divergences: st.total_divergences,
+            checks: st.checks,
+            probes: st.probes,
+            switches: st.switches,
+            exec: st.exec,
+            run_error,
+            halt,
+        }
+    }
+
     /// True when the run produced no divergence.
     pub fn clean(&self) -> bool {
         self.total_divergences == 0
-    }
-}
-
-/// Splits a run's terminal error into (budget halt, guest error).
-fn classify(err: Option<VmError>) -> (Option<RunHalt>, Option<String>) {
-    match err {
-        None => (None, None),
-        Some(VmError::OutOfFuel) => (Some(RunHalt::FuelExhausted), None),
-        Some(VmError::TimedOut) => (Some(RunHalt::TimedOut), None),
-        Some(e) => (None, Some(format!("{e:?}"))),
     }
 }
 
@@ -141,40 +187,24 @@ pub fn run_opec_cov(
     budget: &RunBudget,
     backend: Arc<dyn Backend>,
 ) -> Result<(Verdict, CoverageMap), String> {
-    let board = spec.board();
-    let module = spec.build_module();
-    let specs = spec.op_specs();
-    let out = compile(module, board, &specs).map_err(|e| format!("compile: {e:?}"))?;
-    let matrix = AccessMatrix::opec(&out.image.module, &out.partition, &out.policy)
-        .with_boundary_granularity(backend.boundary_granularity(out.policy.stack));
-    let mut policy = out.policy.clone();
+    let fw = Firmware::from(spec);
+    let mut build = fw.opec().map_err(|e| format!("compile: {e:?}"))?;
+    let matrix = build.matrix(&*backend);
     if let Some(m) = mutate {
-        m(&mut policy);
+        m(&mut build.out.policy);
     }
-    let mut machine = backend.make_machine(board);
-    spec.install_devices(&mut machine);
     let cov = Rc::new(RefCell::new(CoverageMap::new()));
     let obs = Obs::single(cov.clone());
     let (watcher, handle) = shadow(matrix, obs.clone());
-    let mut vm = Vm::builder(machine, out.image.clone())
-        .supervisor(OpecMonitor::with_backend(policy, backend))
+    let machine = fw.machine(&*backend);
+    let monitor = build.monitor(backend);
+    let vm = Vm::builder(machine, build.out.image)
+        .supervisor(monitor)
         .watcher(watcher)
         .obs(obs)
         .build()
         .map_err(|e| format!("image: {e:?}"))?;
-    vm.set_deadline(budget.deadline);
-    let (halt, run_error) = classify(vm.run(budget.fuel).err());
-    let st = handle.take();
-    let verdict = Verdict {
-        divergences: st.divergences,
-        total_divergences: st.total_divergences,
-        checks: st.checks,
-        probes: st.probes,
-        switches: st.switches,
-        exec: st.exec,
-        run_error,
-        halt,
-    };
+    let verdict = judge(&fw, vm, &handle, budget);
     let coverage = cov.borrow().clone();
     Ok((verdict, coverage))
 }
@@ -182,51 +212,33 @@ pub fn run_opec_cov(
 /// Runs a generated firmware under the ACES stack (Filename strategy)
 /// with the shadow oracle attached, under the default [`RunBudget`].
 pub fn run_aces(spec: &FirmwareSpec) -> Result<Verdict, String> {
-    run_aces_with(spec, &RunBudget::default())
+    run_aces_with(&spec.into(), &RunBudget::default())
 }
 
-/// [`run_aces`] under an explicit budget.
-pub fn run_aces_with(spec: &FirmwareSpec, budget: &RunBudget) -> Result<Verdict, String> {
-    let board = spec.board();
-    let module = spec.build_module();
-    let out = build_aces_image(module, board, AcesStrategy::Filename)
-        .map_err(|e| format!("aces image: {e:?}"))?;
-    let main_comp = out.comps.of(out.image.entry);
-    let matrix = AccessMatrix::aces(
-        &out.image.module,
-        &out.comps,
-        &out.regions,
-        out.stack,
-        board.flash.base,
-        main_comp,
-    );
-    let runtime = AcesRuntime::new(
-        &out.image.module,
-        out.comps.clone(),
-        out.regions.clone(),
-        board,
-        out.stack,
-        main_comp,
-    );
-    let mut machine = Machine::new(board);
-    spec.install_devices(&mut machine);
-    let (watcher, handle) = shadow(matrix, Obs::disabled());
-    let mut vm = Vm::builder(machine, out.image.clone())
+/// [`run_aces`] for any firmware, under an explicit budget. A paper
+/// application is also held to its workload check.
+pub fn run_aces_with(fw: &Firmware<'_>, budget: &RunBudget) -> Result<Verdict, String> {
+    let build = fw.aces(AcesStrategy::Filename).map_err(|e| format!("aces image: {e:?}"))?;
+    let (watcher, handle) = shadow(build.matrix(), Obs::disabled());
+    let runtime = build.runtime();
+    let vm = Vm::builder(fw.machine(&Armv7mBackend), build.out.image)
         .supervisor(runtime)
         .watcher(watcher)
         .build()
         .map_err(|e| format!("image: {e:?}"))?;
+    Ok(judge(fw, vm, &handle, budget))
+}
+
+/// Runs `vm` within `budget` and folds the shadow oracle's state into
+/// the verdict.
+fn judge<S: Supervisor>(
+    fw: &Firmware<'_>,
+    mut vm: Vm<S>,
+    handle: &OracleHandle,
+    budget: &RunBudget,
+) -> Verdict {
     vm.set_deadline(budget.deadline);
-    let (halt, run_error) = classify(vm.run(budget.fuel).err());
-    let st = handle.take();
-    Ok(Verdict {
-        divergences: st.divergences,
-        total_divergences: st.total_divergences,
-        checks: st.checks,
-        probes: st.probes,
-        switches: st.switches,
-        exec: st.exec,
-        run_error,
-        halt,
-    })
+    let result = vm.run(budget.fuel);
+    let (halt, run_error) = run_end(fw, &mut vm, result);
+    Verdict::new(handle.take(), halt, run_error)
 }
