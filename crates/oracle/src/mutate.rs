@@ -34,7 +34,20 @@ use crate::gen::{FirmwareSpec, Stmt};
 pub const MAX_PERIPHS: usize = 12;
 
 /// Hard cap on statements per function body.
-const MAX_BODY: usize = 24;
+pub const MAX_BODY: usize = 24;
+
+/// Hard cap on functions a plan may declare. The generator makes at
+/// most 8 (`main`, 3 entries, 4 helpers) and no mutator adds one.
+pub const MAX_FUNCS: usize = 32;
+
+/// Hard cap on globals a plan may declare. The generator makes at most
+/// 5 and no mutator adds one.
+pub const MAX_GLOBALS: usize = 32;
+
+/// Hard cap on one global's length in words. The generator makes at
+/// most 8 and no mutator grows one. Bounds what a plan can make the
+/// compiler lay out.
+pub const MAX_GLOBAL_WORDS: u32 = 256;
 
 /// The mutator catalog (see DESIGN.md §4i).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -318,15 +331,31 @@ pub fn mutate_stacked(spec: &FirmwareSpec, seed: u64, steps: u32) -> FirmwareSpe
 }
 
 /// Checks the generator invariants a plan must satisfy to be
-/// policy-clean; returns the first violation. Used by the mutation
-/// proptests and by corpus load (a hand-edited corpus entry that
-/// breaks the invariants would poison every mutant derived from it).
+/// policy-clean, and the size caps that keep it small; returns the
+/// first violation. Used by the mutation proptests, by corpus load (a
+/// hand-edited corpus entry that breaks the invariants would poison
+/// every mutant derived from it) and by the daemon's `POST /firmware`
+/// (a submitted plan must not reach the compiler unchecked).
 pub fn well_formed(spec: &FirmwareSpec) -> Result<(), String> {
     if spec.funcs.is_empty() || spec.funcs[0].entry_of.is_some() {
         return Err("func 0 must be main (no entry_of)".into());
     }
+    if spec.funcs.len() > MAX_FUNCS {
+        return Err(format!("{} functions exceeds cap {MAX_FUNCS}", spec.funcs.len()));
+    }
+    if spec.globals.len() > MAX_GLOBALS {
+        return Err(format!("{} globals exceeds cap {MAX_GLOBALS}", spec.globals.len()));
+    }
     if spec.periph_bases.len() > MAX_PERIPHS {
         return Err(format!("{} peripherals exceeds cap {MAX_PERIPHS}", spec.periph_bases.len()));
+    }
+    if let Some((g, gl)) =
+        spec.globals.iter().enumerate().find(|(_, gl)| gl.words > MAX_GLOBAL_WORDS)
+    {
+        return Err(format!("global {g} has {} words, exceeds cap {MAX_GLOBAL_WORDS}", gl.words));
+    }
+    if let Some((i, f)) = spec.funcs.iter().enumerate().find(|(_, f)| f.body.len() > MAX_BODY) {
+        return Err(format!("func {i} has {} statements, exceeds cap {MAX_BODY}", f.body.len()));
     }
     let mut bases = spec.periph_bases.clone();
     bases.sort_unstable();
