@@ -83,18 +83,10 @@ pub fn build(cx: &mut Ctx) {
     });
 }
 
-/// Emits the init-time half of the descriptor pattern: park `callback`
-/// (a function registered under `cb_name`) into the stream descriptor
-/// at `slot`.
-pub fn emit_park_callback(cx: &Ctx, fb: &mut FunctionBuilder<'_>, cb_name: &str, slot: u32) {
-    let f = cx.f(cb_name);
-    let p = fb.addr_of_func(f);
-    fb.mmio_write(bases::DMA2 + slot, Operand::Reg(p), 4);
-}
-
-/// Emits the transfer-time half: read the descriptor at `slot` back out
-/// of the device and invoke it (guarded against an unparked stream).
-/// This is the icall the points-to analysis cannot resolve.
+/// Emits the transfer-time half of the descriptor pattern: read the
+/// descriptor at `slot` back out of the device and invoke it (guarded
+/// against an unparked stream). This is the icall the points-to
+/// analysis cannot resolve.
 pub fn emit_fire_callback(
     fb: &mut FunctionBuilder<'_>,
     sig: SigId,

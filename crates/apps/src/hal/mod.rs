@@ -21,20 +21,3 @@ pub mod sd;
 pub mod sysclk;
 pub mod uart;
 pub mod usb;
-
-/// Convenience: registers every driver family (used by device-heavy
-/// apps; lighter apps call individual `build` functions). A default
-/// 16-byte UART receive buffer named `uart_rx_buffer` is registered for
-/// the UART handle.
-pub fn build_full_hal(cx: &mut crate::Ctx) {
-    sysclk::build(cx);
-    gpio::build(cx);
-    dma::build(cx);
-    cx.global("uart_rx_buffer", opec_ir::Ty::Array(Box::new(opec_ir::Ty::I8), 16), "main.c");
-    uart::build(cx, "uart_rx_buffer", 16);
-    sd::build(cx);
-    lcd::build(cx);
-    eth::build(cx);
-    dcmi::build(cx);
-    usb::build(cx);
-}

@@ -312,11 +312,6 @@ impl Machine {
         self.prot.as_mut()
     }
 
-    /// Replaces the installed protection unit.
-    pub fn set_protection(&mut self, prot: Box<dyn ProtectionUnit>) {
-        self.prot = prot;
-    }
-
     /// The installed unit downcast to the ARMv7-M [`Mpu`], if it is one.
     pub fn try_mpu(&self) -> Option<&Mpu> {
         self.prot.as_any().downcast_ref::<Mpu>()

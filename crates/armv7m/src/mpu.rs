@@ -272,15 +272,6 @@ impl Mpu {
         Ok(())
     }
 
-    /// Disables (clears) region `number`.
-    pub fn clear_region(&mut self, number: usize) -> Result<(), MpuConfigError> {
-        if number >= MPU_NUM_REGIONS {
-            return Err(MpuConfigError::BadRegionNumber(number));
-        }
-        self.regions[number] = None;
-        Ok(())
-    }
-
     /// Returns the programmed region `number`, if any.
     pub fn region(&self, number: usize) -> Option<&MpuRegion> {
         self.regions.get(number).and_then(|r| r.as_ref())

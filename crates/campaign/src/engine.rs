@@ -27,6 +27,7 @@ use std::time::{Duration, Instant};
 use opec_obs::{Event, JobEventKind};
 
 use crate::journal::{valid_id, Journal, Record};
+use crate::json::{self, DecodeError, FromJson, Layout, ToJson, Value, Writer};
 
 /// Default per-job wall-clock budget. Generous: the watchdog exists
 /// for pathological host-cost-per-instruction runs, not as a pacing
@@ -219,11 +220,6 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
-    /// The payload of job `id`, if it ran.
-    pub fn payload(&self, id: &str) -> Option<&str> {
-        self.records.iter().find(|r| r.id == id).map(|r| r.payload.as_str())
-    }
-
     /// Jobs that did not complete — the "unknown outcome" count that
     /// drives the distinct process exit code.
     pub fn unknown(&self) -> usize {
@@ -290,6 +286,41 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// The payload the engine records for a job that panicked, carrying
+/// the panic message: `{"panic":"<message>"}`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PanicPayload(pub String);
+
+impl ToJson for PanicPayload {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj().field("panic", &self.0).end();
+    }
+}
+
+impl FromJson for PanicPayload {
+    fn from_json(v: &Value) -> Result<PanicPayload, DecodeError> {
+        Ok(PanicPayload(v.field("panic")?))
+    }
+}
+
+/// The repro artifact of a deterministic failure: the campaign, the
+/// job, its budget and outcome, and the job's own repro fragment.
+struct ReproArtifact<'a> {
+    campaign: &'a str,
+    job: &'a Job<'a>,
+    fuel: u64,
+    out: &'a AttemptOutcome,
+}
+
+impl ToJson for ReproArtifact<'_> {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj().field("campaign", self.campaign).field("job", &self.job.id);
+        w.field("fuel", &self.fuel).field("outcome", self.out.outcome.tag());
+        w.field("detail", &self.out.detail).key("repro");
+        w.raw(if self.job.repro.is_empty() { "null" } else { &self.job.repro }).end();
+    }
+}
+
 struct AttemptOutcome {
     outcome: JobOutcome,
     payload: String,
@@ -330,7 +361,7 @@ fn run_attempt(job: &Job<'_>, ctx: &JobCtx, panic_inject: Option<&str>) -> Attem
             let msg = panic_message(panic.as_ref());
             AttemptOutcome {
                 outcome: JobOutcome::Panicked,
-                payload: format!("{{\"panic\":\"{}\"}}", crate::json::escape(&msg)),
+                payload: json::to_string(&PanicPayload(msg.clone()), Layout::Compact),
                 detail: msg,
             }
         }
@@ -349,16 +380,9 @@ fn write_repro(
 ) -> Option<String> {
     std::fs::create_dir_all(dir).ok()?;
     let path = format!("{}/{}.json", dir, job.id.replace(['/', ':'], "-"));
-    let body = format!(
-        "{{\"campaign\":\"{}\",\"job\":\"{}\",\"fuel\":{},\"outcome\":\"{}\",\"detail\":\"{}\",\"repro\":{}}}\n",
-        crate::json::escape(opts_name),
-        job.id,
-        fuel,
-        out.outcome.tag(),
-        crate::json::escape(&out.detail),
-        if job.repro.is_empty() { "null" } else { &job.repro },
-    );
-    std::fs::write(&path, body).ok()?;
+    let body =
+        json::to_string(&ReproArtifact { campaign: opts_name, job, fuel, out }, Layout::Compact);
+    std::fs::write(&path, body + "\n").ok()?;
     Some(path)
 }
 
@@ -538,7 +562,30 @@ pub fn run_campaign(opts: &CampaignOpts, jobs: &[Job<'_>]) -> Result<CampaignRep
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::sync::atomic::AtomicU32;
+
+    proptest! {
+        #[test]
+        fn panic_payload_round_trips(message in any::<String>()) {
+            let payload = json::to_string(&PanicPayload(message.clone()), Layout::Compact);
+            prop_assert_eq!(json::decode(&payload), Ok(PanicPayload(message)));
+        }
+
+        #[test]
+        fn repro_artifact_parses_back(campaign in any::<String>(), detail in any::<String>(), fuel in any::<u64>()) {
+            let job = Job::new("a/b", "{\"seed\":3}".to_string(), |_| JobResult::Done(String::new()));
+            let out = AttemptOutcome { outcome: JobOutcome::Panicked, payload: String::new(), detail: detail.clone() };
+            let text = json::to_string(&ReproArtifact { campaign: &campaign, job: &job, fuel, out: &out }, Layout::Compact);
+            let v = json::parse(&text).unwrap();
+            prop_assert_eq!(v.field::<String>("campaign"), Ok(campaign));
+            prop_assert_eq!(v.field::<String>("job"), Ok("a/b".to_string()));
+            prop_assert_eq!(v.field::<u64>("fuel"), Ok(fuel));
+            prop_assert_eq!(v.field::<String>("outcome"), Ok("panicked".to_string()));
+            prop_assert_eq!(v.field::<String>("detail"), Ok(detail));
+            prop_assert_eq!(v.get("repro").and_then(|r| r.get("seed")).and_then(Value::as_u64), Some(3));
+        }
+    }
 
     fn opts(name: &str) -> CampaignOpts {
         CampaignOpts {

@@ -22,7 +22,7 @@
 use std::io::{Seek as _, Write as _};
 use std::sync::Mutex;
 
-use crate::json;
+use crate::json::{self, Layout, ToJson, Writer};
 
 /// Records per fsync batch. Small enough that a kill loses little;
 /// large enough that the fsync cost disappears under the VM runs.
@@ -66,8 +66,25 @@ pub struct Journal {
     inner: Mutex<Inner>,
 }
 
+/// The header line: the campaign's identity. A reopen compares it byte
+/// for byte.
 fn header_line(campaign: &str, fuel: u64) -> String {
-    format!("{{\"v\":1,\"campaign\":\"{}\",\"fuel\":{}}}", json::escape(campaign), fuel)
+    let mut w = Writer::new(Layout::Compact);
+    w.obj().field("v", &1u8).field("campaign", campaign).field("fuel", &fuel).end();
+    w.finish()
+}
+
+/// The record line. The payload is written last and raw, so a reopen
+/// can slice it back out byte for byte.
+impl ToJson for Record {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj().field("v", &1u8).field("id", &self.id).field("outcome", &self.outcome);
+        w.field("attempts", &self.attempts);
+        if let Some(repro) = &self.repro {
+            w.field("repro", repro);
+        }
+        w.key("payload").raw(&self.payload).end();
+    }
 }
 
 /// Validates a job id: journal ids embed into JSON and file paths
@@ -195,18 +212,8 @@ impl Journal {
         if rec.payload.contains('\n') {
             return Err(format!("job {} payload is not single-line JSON", rec.id));
         }
-        let mut line = format!(
-            "{{\"v\":1,\"id\":\"{}\",\"outcome\":\"{}\",\"attempts\":{}",
-            rec.id,
-            json::escape(&rec.outcome),
-            rec.attempts
-        );
-        if let Some(repro) = &rec.repro {
-            line.push_str(&format!(",\"repro\":\"{}\"", json::escape(repro)));
-        }
-        line.push_str(",\"payload\":");
-        line.push_str(&rec.payload);
-        line.push_str("}\n");
+        let mut line = json::to_string(rec, Layout::Compact);
+        line.push('\n');
 
         let mut inner = self.inner.lock().unwrap();
         inner.file.write_all(line.as_bytes()).map_err(|e| format!("journal write: {e}"))?;
@@ -239,31 +246,23 @@ impl Journal {
 }
 
 /// Parses one record line, extracting the payload as the raw source
-/// substring. The payload field is last and ids cannot contain quotes,
-/// so the first `,"payload":` marker is unambiguous.
+/// substring (it is the last field, so it slices out unambiguously).
 fn parse_record(line: &str) -> Result<Record, String> {
-    const MARKER: &str = ",\"payload\":";
-    let at = line.find(MARKER).ok_or("no payload field")?;
-    let payload = line
-        .get(at + MARKER.len()..line.len() - 1)
-        .filter(|_| line.ends_with('}'))
-        .ok_or("unterminated record")?;
+    let (head, payload) =
+        json::split_raw_tail(line, "payload").ok_or("no payload field, or unterminated record")?;
     // Validate both halves: the prefix fields re-closed as an object,
     // and the payload as standalone JSON (a torn payload fails here).
-    let head = json::parse(&format!("{}}}", &line[..at]))?;
+    let head = json::parse(&head)?;
     json::parse(payload)?;
-    let id = head.get("id").and_then(|v| v.as_str()).ok_or("record has no id")?;
-    if !valid_id(id) {
+    let id: String = head.field("id")?;
+    if !valid_id(&id) {
         return Err(format!("invalid job id {id:?}"));
     }
-    let outcome = head.get("outcome").and_then(|v| v.as_str()).ok_or("record has no outcome")?;
-    let attempts = head.get("attempts").and_then(|v| v.as_u64()).ok_or("record has no attempts")?;
-    let repro = head.get("repro").and_then(|v| v.as_str()).map(str::to_string);
     Ok(Record {
-        id: id.to_string(),
-        outcome: outcome.to_string(),
-        attempts: attempts as u32,
-        repro,
+        id,
+        outcome: head.field("outcome")?,
+        attempts: head.field("attempts")?,
+        repro: head.field("repro")?,
         payload: payload.to_string(),
     })
 }
@@ -271,6 +270,42 @@ fn parse_record(line: &str) -> Result<Record, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn records_round_trip(
+            outcome in any::<String>(),
+            attempts in any::<u32>(),
+            repro in any::<String>(),
+            with_repro in any::<bool>(),
+            note in any::<String>(),
+        ) {
+            let payload = json::to_string(&vec![note], Layout::Compact);
+            let rec = Record {
+                id: "check/gen:3".to_string(),
+                outcome,
+                attempts,
+                repro: with_repro.then_some(repro),
+                payload,
+            };
+            let line = json::to_string(&rec, Layout::Compact);
+            prop_assert_eq!(parse_record(&line), Ok(rec));
+        }
+
+        #[test]
+        fn headers_parse_back(campaign in any::<String>(), fuel in any::<u64>()) {
+            let v = json::parse(&header_line(&campaign, fuel)).unwrap();
+            prop_assert_eq!(v.field::<String>("campaign"), Ok(campaign));
+            prop_assert_eq!(v.field::<u64>("fuel"), Ok(fuel));
+        }
+    }
+
+    #[test]
+    fn attempts_out_of_range_are_refused() {
+        let line = r#"{"v":1,"id":"a","outcome":"completed","attempts":4294967297,"payload":1}"#;
+        assert_eq!(parse_record(line).unwrap_err(), "attempts: 4294967297 out of range for u32");
+    }
 
     fn tmp(name: &str) -> String {
         let dir = std::env::temp_dir().join("opec-campaign-tests");

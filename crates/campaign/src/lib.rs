@@ -19,8 +19,8 @@
 //!   appends keyed by deterministic job id, torn-tail recovery, and
 //!   resume-by-skipping so a killed campaign finishes with aggregates
 //!   byte-identical to an uninterrupted run.
-//! * [`json`] — the minimal JSON reader campaigns use to rebuild
-//!   typed results from journaled payloads.
+//! * [`json`] — the workspace's JSON codec, [`opec_obs::json`],
+//!   re-exported under its historical path.
 //!
 //! Supervision milestones surface as [`opec_obs::Event::Job`] events
 //! and in [`engine::CampaignReport::summary`]; nothing is shed
@@ -30,13 +30,13 @@
 
 pub mod engine;
 pub mod journal;
-pub mod json;
 pub mod quantum;
+
+pub use opec_obs::json;
 
 pub use engine::{
     panic_message, run_campaign, CampaignOpts, CampaignReport, Job, JobCtx, JobOutcome, JobRecord,
-    JobResult, DEFAULT_TIMEOUT_SECS,
+    JobResult, PanicPayload, DEFAULT_TIMEOUT_SECS,
 };
 pub use journal::{Journal, Record, SYNC_BATCH};
-pub use json::Value;
 pub use quantum::{run_quanta, Poll, Quantum, QuantumCtx, QuantumOpts, ShardReport};

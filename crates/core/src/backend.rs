@@ -203,11 +203,6 @@ impl ArmRegionPlan {
     pub fn section_region(&self, op: OpId) -> MpuRegion {
         self.sections[usize::from(op)]
     }
-
-    /// The prepared peripheral-cover regions for `op`.
-    pub fn periph_regions(&self, op: OpId) -> &[MpuRegion] {
-        &self.periph[usize::from(op)]
-    }
 }
 
 /// Reserved virtualization slots on ARM (MPU regions 4–7).

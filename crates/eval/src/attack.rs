@@ -21,16 +21,17 @@ use std::panic::{self, AssertUnwindSafe};
 use std::time::Instant;
 
 use opec_aces::{AcesRuntime, AcesStrategy};
-use opec_apps::programs::{aces_comparison_apps, all_apps};
+use opec_apps::programs::aces_comparison_apps;
 use opec_apps::App;
 use opec_armv7m::MemRegion;
-use opec_campaign::json::{self, Value};
 use opec_campaign::{
     panic_message, run_campaign, CampaignOpts, CampaignReport, Job, JobOutcome, JobResult,
+    PanicPayload,
 };
 use opec_core::{Armv7mBackend, Backend, CompileOutput, OpecMonitor};
 use opec_fleet::FleetBackend;
 use opec_inject::{score, Attack, AttackKind, CampaignInjector, CampaignResult, Verdict};
+use opec_obs::json::{self, DecodeError, FromJson, Layout, ToJson, Value, Writer};
 use opec_oracle::{AcesBuild, Firmware, OpecBuild, System};
 use opec_vm::{
     InjectAction, LoadedImage, NullSupervisor, OpId, Supervisor, Vm, VmError, VmSnapshot,
@@ -107,21 +108,6 @@ pub struct AttackMatrix {
     pub cells: Vec<Cell>,
 }
 
-/// Runs the attack matrix over all seven applications with default
-/// supervision (no journal).
-pub fn attack_matrix(seeds: u64) -> AttackMatrix {
-    attack_matrix_for(&all_apps(), seeds)
-}
-
-/// Runs the attack matrix over `apps` with seeds `0..seeds` under
-/// default supervision. Kept for the legacy call sites; the engine
-/// cannot fail without a journal configured.
-pub fn attack_matrix_for(apps: &[App], seeds: u64) -> AttackMatrix {
-    attack_matrix_campaign(apps, seeds, &EngineOpts::default(), FleetBackend::Armv7m)
-        .expect("attack campaign")
-        .0
-}
-
 /// Runs the attack matrix as a supervised campaign: one job per
 /// application (each job's verdicts for every `attack × config × seed`
 /// cell are one journal payload), scheduled by the shared engine with
@@ -156,12 +142,10 @@ pub fn attack_matrix_with(
             // run into this one. The backend segment likewise keeps the
             // two backends' journals disjoint.
             let id = format!("attack/{seg}app/{}/seeds/{seeds}", job_slug(app.name));
-            let repro = format!(
-                "{{\"app\":\"{}\",\"seeds\":{seeds},\"aces\":{with_aces},\"backend\":\"{}\"}}",
-                json::escape(app.name),
-                sel.name()
-            );
-            Job::new(id, repro, move |ctx| {
+            let mut repro = Writer::new(Layout::Compact);
+            repro.obj().field("app", app.name).field("seeds", &seeds);
+            repro.field("aces", &with_aces).field("backend", sel.name()).end();
+            Job::new(id, repro.finish(), move |ctx| {
                 let limits = RunLimits::from_ctx(ctx);
                 JobResult::Done(cells_json(&app_cells(app, seeds, with_aces, &limits, sel)))
             })
@@ -190,10 +174,10 @@ pub fn attack_matrix_with(
 /// The grid has the same shape [`app_cells`] would have produced, so
 /// rendering stays aligned.
 fn crashed_cells(app: &'static str, seeds: u64, with_aces: bool, payload: &str) -> Vec<Cell> {
-    let detail = json::parse(payload)
-        .ok()
-        .and_then(|v| v.get("panic").and_then(Value::as_str).map(str::to_string))
-        .map_or_else(|| "host panic (lost payload)".to_string(), |m| format!("host panic: {m}"));
+    let detail = json::decode(payload).map_or_else(
+        |_| "host panic (lost payload)".to_string(),
+        |p: PanicPayload| format!("host panic: {}", p.0),
+    );
     let mut cells = Vec::new();
     for kind in AttackKind::ALL {
         for config in System::ALL {
@@ -688,105 +672,84 @@ fn aces_attack(
 // Journal payloads.
 // ---------------------------------------------------------------------
 
-/// Serialises one application's cells as the job's single-line journal
-/// payload. [`cells_from`] inverts it exactly: every verdict variant
-/// round-trips field-for-field, so an aggregate rendered from a
-/// resumed journal is byte-identical to the uninterrupted run's.
-fn cells_json(cells: &[Cell]) -> String {
-    let mut out = String::from("{\"cells\":[");
-    for (i, cell) in cells.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write!(
-            out,
-            "{{\"config\":\"{}\",\"attack\":\"{}\",\"verdicts\":[",
-            cell.config.label(),
-            cell.kind.name()
-        )
-        .expect("write to String");
-        for (j, (seed, verdict)) in cell.verdicts.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            write!(out, "{{\"seed\":{seed},").expect("write to String");
-            let field = |out: &mut String, key: &str, value: &str| {
-                write!(out, ",\"{key}\":\"{}\"", json::escape(value)).expect("write to String");
-            };
+/// A cell's journal form. [`FromJson`] inverts it exactly (the app is
+/// left empty: it comes from the job list), so an aggregate rendered
+/// from a resumed journal is byte-identical to the uninterrupted run's.
+impl ToJson for Cell {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj().field("config", self.config.label()).field("attack", self.kind.name());
+        w.key("verdicts").arr();
+        for (seed, verdict) in &self.verdicts {
+            w.obj().field("seed", seed);
             match verdict {
                 Verdict::Contained { op, cause } => {
-                    write!(out, "\"v\":\"contained\",\"op\":{op}").expect("write to String");
-                    field(&mut out, "cause", cause);
+                    w.field("v", "contained").field("op", op).field("cause", cause)
                 }
                 Verdict::Escaped { evidence } => {
-                    out.push_str("\"v\":\"escaped\"");
-                    field(&mut out, "evidence", evidence);
+                    w.field("v", "escaped").field("evidence", evidence)
                 }
-                Verdict::Crashed { detail } => {
-                    out.push_str("\"v\":\"crashed\"");
-                    field(&mut out, "detail", detail);
-                }
-                Verdict::NotApplicable => out.push_str("\"v\":\"na\""),
-                Verdict::Undecided { reason } => {
-                    out.push_str("\"v\":\"undecided\"");
-                    field(&mut out, "reason", reason);
-                }
-            }
-            out.push('}');
+                Verdict::Crashed { detail } => w.field("v", "crashed").field("detail", detail),
+                Verdict::NotApplicable => w.field("v", "na"),
+                Verdict::Undecided { reason } => w.field("v", "undecided").field("reason", reason),
+            };
+            w.end();
         }
-        out.push_str("]}");
+        w.end().end();
     }
-    out.push_str("]}");
-    out
+}
+
+impl FromJson for Cell {
+    fn from_json(v: &Value) -> Result<Cell, DecodeError> {
+        let config = v.tag("config")?;
+        let config = *System::ALL.iter().find(|c| c.label() == config).ok_or_else(|| {
+            DecodeError::new(format!("unknown config {config:?}")).in_field("config")
+        })?;
+        let kind = v.tag("attack")?;
+        let kind = *AttackKind::ALL.iter().find(|k| k.name() == kind).ok_or_else(|| {
+            DecodeError::new(format!("unknown attack {kind:?}")).in_field("attack")
+        })?;
+        let verdicts = v.field::<Vec<SeedVerdict>>("verdicts")?;
+        Ok(Cell { app: "", config, kind, verdicts: verdicts.into_iter().map(|s| s.0).collect() })
+    }
+}
+
+/// One journaled `(seed, verdict)` element.
+struct SeedVerdict((u64, Verdict));
+
+impl FromJson for SeedVerdict {
+    fn from_json(v: &Value) -> Result<SeedVerdict, DecodeError> {
+        let verdict = match v.tag("v")? {
+            "contained" => Verdict::Contained { op: v.field("op")?, cause: v.field("cause")? },
+            "escaped" => Verdict::Escaped { evidence: v.field("evidence")? },
+            "crashed" => Verdict::Crashed { detail: v.field("detail")? },
+            "na" => Verdict::NotApplicable,
+            "undecided" => Verdict::Undecided { reason: v.field("reason")? },
+            other => {
+                return Err(DecodeError::new(format!("unknown verdict {other:?}")).in_field("v"))
+            }
+        };
+        Ok(SeedVerdict((v.field("seed")?, verdict)))
+    }
+}
+
+/// Serialises one application's cells as the job's single-line journal
+/// payload.
+fn cells_json(cells: &[Cell]) -> String {
+    let mut w = Writer::new(Layout::Compact);
+    w.obj().field("cells", cells).end();
+    w.finish()
 }
 
 /// Parses a job payload back into cells. `app` comes from the job
 /// list, not the payload — the aggregate is defined by this run's
 /// applications.
 fn cells_from(app: &'static str, payload: &str) -> Result<Vec<Cell>, String> {
-    let bad = |what: &str| format!("{app} payload: {what}");
-    let doc = json::parse(payload).map_err(|e| bad(&e))?;
-    let cells = doc.get("cells").and_then(Value::as_arr).ok_or_else(|| bad("no cells"))?;
-    cells
-        .iter()
-        .map(|cell| {
-            let config = match cell.get("config").and_then(Value::as_str) {
-                Some("opec") => System::Opec,
-                Some("aces") => System::Aces,
-                Some("baseline") => System::Baseline,
-                other => return Err(bad(&format!("bad config {other:?}"))),
-            };
-            let name = cell.get("attack").and_then(Value::as_str).unwrap_or("");
-            let kind = *AttackKind::ALL
-                .iter()
-                .find(|k| k.name() == name)
-                .ok_or_else(|| bad(&format!("bad attack {name:?}")))?;
-            let verdicts = cell
-                .get("verdicts")
-                .and_then(Value::as_arr)
-                .ok_or_else(|| bad("no verdicts"))?
-                .iter()
-                .map(|v| verdict_from(v).ok_or_else(|| bad("bad verdict")))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(Cell { app, config, kind, verdicts })
-        })
-        .collect()
-}
-
-fn verdict_from(v: &Value) -> Option<(u64, Verdict)> {
-    let seed = v.get("seed")?.as_u64()?;
-    let text = |key: &str| v.get(key).and_then(Value::as_str).map(str::to_string);
-    let verdict = match v.get("v")?.as_str()? {
-        "contained" => {
-            Verdict::Contained { op: v.get("op")?.as_u64()? as OpId, cause: text("cause")? }
-        }
-        "escaped" => Verdict::Escaped { evidence: text("evidence")? },
-        "crashed" => Verdict::Crashed { detail: text("detail")? },
-        "na" => Verdict::NotApplicable,
-        "undecided" => Verdict::Undecided { reason: text("reason")? },
-        _ => return None,
-    };
-    Some((seed, verdict))
+    let doc = json::parse(payload).map_err(|e| format!("{app} payload: {e}"))?;
+    let mut cells: Vec<Cell> = doc.field("cells").map_err(|e| format!("{app} payload: {e}"))?;
+    for cell in &mut cells {
+        cell.app = app;
+    }
+    Ok(cells)
 }
 
 // ---------------------------------------------------------------------
@@ -846,33 +809,19 @@ impl AttackMatrix {
     /// Serialises every per-seed verdict as a JSON document (the CI
     /// artifact).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        writeln!(out, "  \"backend\": \"{}\",", json::escape(self.backend)).unwrap();
-        writeln!(out, "  \"seeds\": {},", self.seeds).unwrap();
-        out.push_str("  \"cells\": [\n");
-        for (i, cell) in self.cells.iter().enumerate() {
-            write!(
-                out,
-                "    {{\"app\": \"{}\", \"config\": \"{}\", \"attack\": \"{}\", \"verdicts\": [",
-                json::escape(cell.app),
-                cell.config.label(),
-                cell.kind.name()
-            )
-            .unwrap();
-            for (j, (seed, verdict)) in cell.verdicts.iter().enumerate() {
-                write!(
-                    out,
-                    "{}{{\"seed\": {seed}, \"verdict\": \"{}\", \"detail\": \"{}\"}}",
-                    if j == 0 { "" } else { ", " },
-                    verdict.label(),
-                    json::escape(&verdict_detail(verdict)),
-                )
-                .unwrap();
+        let mut w = Writer::new(Layout::Report);
+        w.obj().field("backend", self.backend).field("seeds", &self.seeds).key("cells").rows();
+        for cell in &self.cells {
+            w.obj().field("app", cell.app).field("config", cell.config.label());
+            w.field("attack", cell.kind.name()).key("verdicts").arr();
+            for (seed, verdict) in &cell.verdicts {
+                w.obj().field("seed", seed).field("verdict", verdict.label());
+                w.field("detail", &verdict_detail(verdict)).end();
             }
-            writeln!(out, "]}}{}", if i + 1 == self.cells.len() { "" } else { "," }).unwrap();
+            w.end().end();
         }
-        out.push_str("  ]\n}\n");
-        out
+        w.end().end();
+        w.finish() + "\n"
     }
 
     /// Verdicts the campaign could not decide (fuel-starved or
@@ -928,9 +877,81 @@ fn verdict_detail(v: &Verdict) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn verdict(variant: usize, op: OpId, text: String) -> Verdict {
+        match variant % 5 {
+            0 => Verdict::Contained { op, cause: text },
+            1 => Verdict::Escaped { evidence: text },
+            2 => Verdict::Crashed { detail: text },
+            3 => Verdict::NotApplicable,
+            _ => Verdict::Undecided { reason: text },
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn cells_round_trip(
+            config in 0usize..3,
+            kind in 0usize..9,
+            verdicts in proptest::collection::vec((any::<u64>(), any::<usize>(), any::<u8>(), any::<String>()), 0..6),
+        ) {
+            let cell = Cell {
+                app: "",
+                config: System::ALL[config],
+                kind: AttackKind::ALL[kind],
+                verdicts: verdicts
+                    .into_iter()
+                    .map(|(seed, variant, op, text)| (seed, verdict(variant, op, text)))
+                    .collect(),
+            };
+            let payload = cells_json(std::slice::from_ref(&cell));
+            let back = cells_from("", &payload).unwrap();
+            prop_assert_eq!(back.len(), 1);
+            prop_assert_eq!(
+                (back[0].config, back[0].kind, &back[0].verdicts),
+                (cell.config, cell.kind, &cell.verdicts)
+            );
+            prop_assert_eq!(payload, cells_json(&back));
+        }
+    }
+
+    #[test]
+    fn out_of_range_verdicts_are_refused() {
+        let payload = r#"{"cells":[{"config":"opec","attack":"data-write","verdicts":[{"seed":0,"v":"contained","op":256,"cause":""}]}]}"#;
+        assert_eq!(
+            cells_from("PinLock", payload).unwrap_err(),
+            "PinLock payload: cells[0].verdicts[0].op: 256 out of range for u8"
+        );
+    }
+
+    #[test]
+    fn report_json_escapes_every_string() {
+        let nasty = "tab\t nl\n quote\" back\\ \u{1} é";
+        let m = AttackMatrix {
+            backend: "armv7m",
+            seeds: 1,
+            cells: vec![Cell {
+                app: nasty,
+                config: System::Opec,
+                kind: AttackKind::ALL[0],
+                verdicts: vec![(0, Verdict::Escaped { evidence: nasty.to_string() })],
+            }],
+        };
+        let v = json::parse(&m.to_json()).expect("valid JSON");
+        let cell = &v.get("cells").and_then(Value::as_arr).unwrap()[0];
+        assert_eq!(cell.tag("app"), Ok(nasty));
+        assert_eq!(
+            cell.get("verdicts").and_then(Value::as_arr).unwrap()[0].tag("detail"),
+            Ok(nasty)
+        );
+    }
 
     fn pinlock_matrix(seeds: u64) -> AttackMatrix {
-        attack_matrix_for(&[opec_apps::programs::pinlock::app()], seeds)
+        let apps = [opec_apps::programs::pinlock::app()];
+        attack_matrix_campaign(&apps, seeds, &EngineOpts::default(), FleetBackend::Armv7m)
+            .expect("attack campaign")
+            .0
     }
 
     #[test]

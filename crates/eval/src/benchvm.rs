@@ -18,7 +18,6 @@
 //!   CI can fail the benchmark if the fast path ever stops being a
 //!   pure optimisation.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -32,7 +31,9 @@ use opec_oracle::Firmware;
 use opec_vm::{link_baseline, ExecMode, Supervisor, Vm, VmBuilder};
 
 use opec_campaign::CampaignReport;
+use opec_fleet::bench::Host;
 use opec_fleet::FleetBackend;
+use opec_obs::json::{Layout, ToJson, Writer};
 
 use crate::check::run_lockstep_campaign;
 use crate::engine::EngineOpts;
@@ -112,19 +113,23 @@ impl Throughput {
             0.0
         }
     }
+}
 
-    fn json(&self) -> String {
-        format!(
-            "{{\"app\": \"{}\", \"system\": \"{}\", \"insts\": {}, \
-             \"plain_insts_per_sec\": {:.0}, \"decoded_insts_per_sec\": {:.0}, \
-             \"speedup\": {:.2}}}",
-            self.name,
-            self.system,
-            self.insts,
-            self.plain_ips,
-            self.decoded_ips,
-            self.speedup(),
-        )
+impl ToJson for Throughput {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj().field("app", &self.name).field("system", self.system);
+        w.field("insts", &self.insts);
+        self.write_rates(w);
+        w.end();
+    }
+}
+
+impl Throughput {
+    /// The rate fields shared by the app rows and the microbenchmark.
+    fn write_rates(&self, w: &mut Writer) {
+        w.key("plain_insts_per_sec").fixed(self.plain_ips, 0);
+        w.key("decoded_insts_per_sec").fixed(self.decoded_ips, 0);
+        w.key("speedup").fixed(self.speedup(), 2);
     }
 }
 
@@ -184,15 +189,13 @@ struct SwitchCost {
     prot_writes: u64,
 }
 
-impl SwitchCost {
-    fn json(&self) -> String {
+impl ToJson for SwitchCost {
+    fn write_json(&self, w: &mut Writer) {
         let per_switch =
             if self.switches > 0 { self.prot_writes as f64 / self.switches as f64 } else { 0.0 };
-        format!(
-            "{{\"app\": \"{}\", \"switches\": {}, \"prot_writes\": {}, \
-             \"writes_per_switch\": {per_switch:.2}}}",
-            self.app, self.switches, self.prot_writes,
-        )
+        w.obj().field("app", self.app).field("switches", &self.switches);
+        w.field("prot_writes", &self.prot_writes);
+        w.key("writes_per_switch").fixed(per_switch, 2).end();
     }
 }
 
@@ -274,17 +277,8 @@ fn campaign_bench() -> CampaignBench {
     }
 }
 
-/// Runs every measurement and renders `BENCH_vm.json` with default
-/// supervision. Returns the document and the lockstep divergence count
-/// (non-zero must fail the caller).
-pub fn bench_vm(gen_seeds: u64) -> (String, u64) {
-    let (doc, bad, _) = bench_vm_campaign(gen_seeds, &EngineOpts::default(), FleetBackend::Armv7m)
-        .expect("bench-vm");
-    (doc, bad)
-}
-
-/// [`bench_vm`] with the lockstep sweep routed through the supervised
-/// campaign engine: `--fuel` bounds every lockstep subject, a panicking
+/// Runs every measurement and renders `BENCH_vm.json`, with the
+/// lockstep sweep routed through the supervised campaign engine: `--fuel` bounds every lockstep subject, a panicking
 /// subject is contained and reported instead of tearing the benchmark
 /// down, and `--journal` lets a killed sweep resume. The timing
 /// sections stay inline — they are wall-clock measurements, and
@@ -294,24 +288,15 @@ pub fn bench_vm_campaign(
     engine: &EngineOpts,
     sel: FleetBackend,
 ) -> Result<(String, u64, CampaignReport), String> {
-    let mut out = String::from("{\n");
-    writeln!(out, "  \"schema\": \"opec-bench-vm-v1\",").expect("write to String");
-    writeln!(out, "  \"host\": {},", opec_fleet::bench::host_json()).expect("write to String");
-    writeln!(out, "  \"backend\": \"{}\",", sel.name()).expect("write to String");
+    let mut w = Writer::new(Layout::Report);
+    w.obj().field("schema", "opec-bench-vm-v1").field("host", &Host);
+    w.field("backend", sel.name());
 
     eprintln!("[bench-vm] ALU microbenchmark (plain vs decoded)...");
     let micro = micro_throughput();
-    writeln!(
-        out,
-        "  \"microbench\": {{\"iters\": {MICRO_ITERS}, \"insts\": {}, \
-         \"plain_insts_per_sec\": {:.0}, \"decoded_insts_per_sec\": {:.0}, \
-         \"speedup\": {:.2}}},",
-        micro.insts,
-        micro.plain_ips,
-        micro.decoded_ips,
-        micro.speedup(),
-    )
-    .expect("write to String");
+    w.key("microbench").obj().field("iters", &MICRO_ITERS).field("insts", &micro.insts);
+    micro.write_rates(&mut w);
+    w.end();
 
     eprintln!(
         "[bench-vm] per-app throughput ({APP_REPS} reps per mode, backend {})...",
@@ -322,40 +307,30 @@ pub fn bench_vm_campaign(
     if sel.has_aces() {
         apps.extend(aces_comparison_apps().iter().map(aces_throughput));
     }
-    out.push_str("  \"apps\": [\n");
-    for (i, t) in apps.iter().enumerate() {
-        writeln!(out, "    {}{}", t.json(), if i + 1 < apps.len() { "," } else { "" })
-            .expect("write to String");
+    w.key("apps").rows();
+    for t in &apps {
+        w.val(t);
     }
-    out.push_str("  ],\n");
+    w.end();
 
     eprintln!("[bench-vm] per-backend protection-switch costs (both backends)...");
-    out.push_str("  \"switch_costs\": {\n");
-    for (bi, backend) in FleetBackend::ALL.iter().enumerate() {
-        let costs = switch_costs(*backend);
-        writeln!(out, "    \"{}\": [", backend.name()).expect("write to String");
-        for (i, c) in costs.iter().enumerate() {
-            writeln!(out, "      {}{}", c.json(), if i + 1 < costs.len() { "," } else { "" })
-                .expect("write to String");
+    w.key("switch_costs").block();
+    for backend in FleetBackend::ALL {
+        w.key(backend.name()).rows();
+        for c in switch_costs(backend) {
+            w.val(&c);
         }
-        writeln!(out, "    ]{}", if bi + 1 < FleetBackend::ALL.len() { "," } else { "" })
-            .expect("write to String");
+        w.end();
     }
-    out.push_str("  },\n");
+    w.end();
 
     eprintln!("[bench-vm] campaign resets ({NAIVE_RESETS} rebuilds vs {SNAP_RESETS} restores)...");
     let camp = campaign_bench();
-    writeln!(
-        out,
-        "  \"campaign\": {{\"naive_resets_per_sec\": {:.1}, \
-         \"snapshot_resets_per_sec\": {:.1}, \"speedup\": {:.2}, \
-         \"restore_latency_us\": {:.3}}},",
-        camp.naive_resets_per_sec,
-        camp.snapshot_resets_per_sec,
-        camp.snapshot_resets_per_sec / camp.naive_resets_per_sec.max(1e-9),
-        camp.restore_latency_us,
-    )
-    .expect("write to String");
+    w.key("campaign").obj();
+    w.key("naive_resets_per_sec").fixed(camp.naive_resets_per_sec, 1);
+    w.key("snapshot_resets_per_sec").fixed(camp.snapshot_resets_per_sec, 1);
+    w.key("speedup").fixed(camp.snapshot_resets_per_sec / camp.naive_resets_per_sec.max(1e-9), 2);
+    w.key("restore_latency_us").fixed(camp.restore_latency_us, 3).end();
 
     eprintln!(
         "[bench-vm] cached-vs-plain lockstep ({gen_seeds} firmwares, backend {})...",
@@ -364,15 +339,10 @@ pub fn bench_vm_campaign(
     let (rep, campaign) = run_lockstep_campaign(gen_seeds, engine, sel)?;
     let divergences: u64 = rep.cases.iter().map(|c| c.total).sum();
     let build_errors = rep.cases.iter().filter(|c| c.run_error.is_some()).count();
-    writeln!(
-        out,
-        "  \"lockstep\": {{\"subjects\": {}, \"generated_seeds\": {gen_seeds}, \
-         \"divergences\": {divergences}, \"build_errors\": {build_errors}}}",
-        rep.cases.len(),
-    )
-    .expect("write to String");
-    out.push_str("}\n");
-    Ok((out, divergences + build_errors as u64, campaign))
+    w.key("lockstep").obj().field("subjects", &rep.cases.len());
+    w.field("generated_seeds", &gen_seeds).field("divergences", &divergences);
+    w.field("build_errors", &build_errors).end().end();
+    Ok((w.finish() + "\n", divergences + build_errors as u64, campaign))
 }
 
 #[cfg(test)]
@@ -386,7 +356,7 @@ mod tests {
         // count is architecture-determined, not timing-determined.
         assert!(t.insts > u64::from(MICRO_ITERS) * 30, "{}", t.insts);
         assert!(t.plain_ips > 0.0 && t.decoded_ips > 0.0);
-        let json = t.json();
+        let json = opec_obs::json::to_string(&t, Layout::Compact);
         assert!(json.contains("\"speedup\""), "{json}");
     }
 

@@ -25,12 +25,14 @@ use std::sync::Arc;
 use opec_aces::AcesStrategy;
 use opec_apps::programs::{aces_comparison_apps, all_apps};
 use opec_apps::App;
-use opec_campaign::json::{self, Value};
-use opec_campaign::{run_campaign, CampaignOpts, CampaignReport, Job, JobOutcome, JobResult};
+use opec_campaign::{
+    run_campaign, CampaignOpts, CampaignReport, Job, JobOutcome, JobResult, PanicPayload,
+};
 use opec_core::Armv7mBackend;
 use opec_fleet::FleetBackend;
 use opec_ir::{GlobalId, Module};
 use opec_obs::export::{event_log, metrics_json};
+use opec_obs::json::{self, DecodeError, FromJson, Layout, ToJson, Value, Writer};
 use opec_obs::{Obs, OpId, Recorder};
 use opec_oracle::{
     describe, divergence_key, generate, run_aces_with, run_end, run_opec_on, shadow, shrink,
@@ -49,7 +51,7 @@ const EPS: f64 = 1e-9;
 /// Shrink budget (pipeline re-runs) per divergent generated firmware.
 const SHRINK_BUDGET: usize = 200;
 
-/// Options for [`run_check`].
+/// Options for [`run_check_campaign`].
 #[derive(Debug, Clone)]
 pub struct CheckOptions {
     /// How many generated firmware seeds to run.
@@ -202,53 +204,24 @@ impl CheckReport {
         s
     }
 
-    /// Machine-readable artifact (the CI `oracle.json`).
+    /// Machine-readable artifact (the CI `oracle.json`). Its case rows
+    /// call the journal form's `total` field `total_divergences`.
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
+        let mut w = Writer::new(Layout::Report);
+        w.obj().field("backend", self.backend).key("cases").rows();
+        for c in &self.cases {
+            w.obj().field("name", &c.name).field("system", c.system);
+            w.field("total_divergences", &c.total).field("checks", &c.checks);
+            w.field("probes", &c.probes).field("switches", &c.switches);
+            w.field("run_error", &c.run_error).field("note", &c.note).field("shrunk", &c.shrunk);
+            w.field("divergences", &c.divergences).end();
         }
-        fn opt(s: &Option<String>) -> String {
-            match s {
-                Some(v) => format!("\"{}\"", esc(v)),
-                None => "null".to_string(),
-            }
+        w.end().key("crosschecks").rows();
+        for x in &self.crosschecks {
+            w.val(x);
         }
-        let mut s = format!("{{\n  \"backend\": \"{}\",\n  \"cases\": [\n", self.backend);
-        for (i, c) in self.cases.iter().enumerate() {
-            let divs = c
-                .divergences
-                .iter()
-                .map(|d| format!("\"{}\"", esc(d)))
-                .collect::<Vec<_>>()
-                .join(", ");
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"system\": \"{}\", \"total_divergences\": {}, \
-                 \"checks\": {}, \"probes\": {}, \"switches\": {}, \"run_error\": {}, \
-                 \"note\": {}, \"shrunk\": {}, \"divergences\": [{divs}]}}{}\n",
-                esc(&c.name),
-                c.system,
-                c.total,
-                c.checks,
-                c.probes,
-                c.switches,
-                opt(&c.run_error),
-                opt(&c.note),
-                opt(&c.shrunk),
-                if i + 1 < self.cases.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ],\n  \"crosschecks\": [\n");
-        for (i, x) in self.crosschecks.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"ok\": {}, \"detail\": \"{}\"}}{}\n",
-                esc(&x.name),
-                x.ok,
-                esc(&x.detail),
-                if i + 1 < self.crosschecks.len() { "," } else { "" }
-            ));
-        }
-        s.push_str(&format!("  ],\n  \"failures\": {}\n}}\n", self.failures().len()));
-        s
+        w.end().field("failures", &self.failures().len()).end();
+        w.finish() + "\n"
     }
 }
 
@@ -268,90 +241,81 @@ pub(crate) fn job_result(halt: Option<RunHalt>, payload: String) -> JobResult {
 // Journal payloads.
 // ---------------------------------------------------------------------
 
-/// Serialises a case as single-line JSON. [`case_from`] inverts it
-/// field-for-field, so aggregates rendered from a resumed journal are
-/// byte-identical to the uninterrupted run's.
-fn case_json(c: &CaseResult) -> String {
-    use std::fmt::Write as _;
-    let opt = |v: &Option<String>| match v {
-        Some(s) => format!("\"{}\"", json::escape(s)),
-        None => "null".to_string(),
-    };
-    let mut s = format!(
-        "{{\"name\":\"{}\",\"system\":\"{}\",\"total\":{},\"checks\":{},\"probes\":{},\
-         \"switches\":{},\"run_error\":{},\"shrunk\":{},\"note\":{},\"divergences\":[",
-        json::escape(&c.name),
-        c.system,
-        c.total,
-        c.checks,
-        c.probes,
-        c.switches,
-        opt(&c.run_error),
-        opt(&c.shrunk),
-        opt(&c.note),
-    );
-    for (i, d) in c.divergences.iter().enumerate() {
-        write!(s, "{}\"{}\"", if i == 0 { "" } else { "," }, json::escape(d))
-            .expect("write to String");
+/// A case's journal form. [`FromJson`] inverts it field for field, so
+/// aggregates rendered from a resumed journal are byte-identical to
+/// the uninterrupted run's.
+impl ToJson for CaseResult {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj().field("name", &self.name).field("system", self.system);
+        w.field("total", &self.total).field("checks", &self.checks).field("probes", &self.probes);
+        w.field("switches", &self.switches).field("run_error", &self.run_error);
+        w.field("shrunk", &self.shrunk).field("note", &self.note);
+        w.field("divergences", &self.divergences).end();
     }
-    s.push_str("]}");
-    s
 }
 
-/// Parses a [`case_json`] document back.
-fn case_from(v: &Value) -> Result<CaseResult, String> {
-    let text = |key: &str| v.get(key).and_then(Value::as_str).map(str::to_string);
-    let num = |key: &str| v.get(key).and_then(Value::as_u64).ok_or_else(|| format!("no {key}"));
-    let system = match v.get("system").and_then(Value::as_str) {
-        Some("OPEC") => "OPEC",
-        Some("ACES") => "ACES",
-        other => return Err(format!("bad system {other:?}")),
-    };
-    Ok(CaseResult {
-        name: text("name").ok_or("no name")?,
-        system,
-        divergences: v
-            .get("divergences")
-            .and_then(Value::as_arr)
-            .ok_or("no divergences")?
-            .iter()
-            .map(|d| d.as_str().map(str::to_string).ok_or("bad divergence".to_string()))
-            .collect::<Result<Vec<_>, _>>()?,
-        total: num("total")?,
-        checks: num("checks")?,
-        probes: num("probes")?,
-        switches: num("switches")?,
-        run_error: text("run_error"),
-        shrunk: text("shrunk"),
-        note: text("note"),
-    })
+impl FromJson for CaseResult {
+    fn from_json(v: &Value) -> Result<CaseResult, DecodeError> {
+        let system = match v.tag("system")? {
+            "OPEC" => "OPEC",
+            "ACES" => "ACES",
+            other => {
+                return Err(DecodeError::new(format!("unknown system {other:?}")).in_field("system"))
+            }
+        };
+        Ok(CaseResult {
+            name: v.field("name")?,
+            system,
+            divergences: v.field("divergences")?,
+            total: v.field("total")?,
+            checks: v.field("checks")?,
+            probes: v.field("probes")?,
+            switches: v.field("switches")?,
+            run_error: v.field("run_error")?,
+            shrunk: v.field("shrunk")?,
+            note: v.field("note")?,
+        })
+    }
 }
 
-fn crosscheck_json(x: &CrossCheck) -> String {
-    format!(
-        "{{\"name\":\"{}\",\"ok\":{},\"detail\":\"{}\"}}",
-        json::escape(&x.name),
-        x.ok,
-        json::escape(&x.detail)
-    )
+impl ToJson for CrossCheck {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj().field("name", &self.name).field("ok", &self.ok);
+        w.field("detail", &self.detail).end();
+    }
 }
 
-fn crosscheck_from(v: &Value) -> Result<CrossCheck, String> {
-    Ok(CrossCheck {
-        name: v.get("name").and_then(Value::as_str).ok_or("no name")?.to_string(),
-        ok: v.get("ok").and_then(Value::as_bool).ok_or("no ok")?,
-        detail: v.get("detail").and_then(Value::as_str).ok_or("no detail")?.to_string(),
-    })
+impl FromJson for CrossCheck {
+    fn from_json(v: &Value) -> Result<CrossCheck, DecodeError> {
+        Ok(CrossCheck { name: v.field("name")?, ok: v.field("ok")?, detail: v.field("detail")? })
+    }
+}
+
+/// The payload of one app job: its case plus its cross-checks.
+fn app_payload(case: &CaseResult, crosschecks: &[CrossCheck]) -> String {
+    let mut w = Writer::new(Layout::Compact);
+    w.obj().field("case", case).field("crosschecks", crosschecks).end();
+    w.finish()
+}
+
+/// A job's identifying fragment for its repro artifact: the subject
+/// and the backend it ran on.
+fn app_repro(app: &App, system: &str, sel: FleetBackend) -> String {
+    let mut w = Writer::new(Layout::Compact);
+    w.obj().field("app", app.name).field("system", system);
+    if system == "OPEC" {
+        w.field("backend", sel.name());
+    }
+    w.end();
+    w.finish()
 }
 
 /// The case synthesised for a job that panicked on both attempts: the
 /// subject is preserved in the report with the panic as its run error,
 /// so a host bug is a visible failure, never a missing row.
 fn panicked_case(name: String, system: &'static str, payload: &str) -> CaseResult {
-    let msg = json::parse(payload)
-        .ok()
-        .and_then(|v| v.get("panic").and_then(Value::as_str).map(str::to_string))
-        .unwrap_or_else(|| "lost payload".to_string());
+    let msg =
+        json::decode(payload).map_or_else(|_| "lost payload".to_string(), |p: PanicPayload| p.0);
     CaseResult { name, system, run_error: Some(format!("host panic: {msg}")), ..Default::default() }
 }
 
@@ -678,15 +642,10 @@ enum CheckJob<'a> {
     Gen(u64),
 }
 
-/// Runs the whole differential check: all seven applications under
+/// Runs the whole differential check — all seven applications under
 /// OPEC, the five comparison applications under ACES, and
-/// `opts.seeds` generated firmwares under both stacks — with default
-/// supervision (no journal).
-pub fn run_check(opts: &CheckOptions) -> CheckReport {
-    run_check_campaign(opts, &EngineOpts::default()).expect("check campaign").0
-}
-
-/// [`run_check`] as a supervised campaign: one job per application and
+/// `opts.seeds` generated firmwares under both stacks — as a
+/// supervised campaign: one job per application and
 /// one per generated seed (its OPEC and ACES runs share a payload),
 /// with fuel budgets, a watchdog, panic containment, and
 /// checkpoint/resume via the engine options.
@@ -727,49 +686,46 @@ pub fn run_check_with(
         .map(|&kind| match kind {
             CheckJob::OpecApp(app) => Job::new(
                 format!("check/{seg}app/{}/opec", job_slug(app.name)),
-                format!(
-                    "{{\"app\":\"{}\",\"system\":\"OPEC\",\"backend\":\"{}\"}}",
-                    json::escape(app.name),
-                    sel.name()
-                ),
+                app_repro(app, "OPEC", sel),
                 move |ctx| {
                     let limits = RunLimits::from_ctx(ctx);
-                    let (case, xcs, halt) = check_opec_app(app, &limits, sel);
-                    job_result(halt, app_payload(&case, &xcs))
+                    let (case, crosschecks, halt) = check_opec_app(app, &limits, sel);
+                    job_result(halt, app_payload(&case, &crosschecks))
                 },
             ),
             CheckJob::AcesApp(app) => Job::new(
                 format!("check/{seg}app/{}/aces", job_slug(app.name)),
-                format!("{{\"app\":\"{}\",\"system\":\"ACES\"}}", json::escape(app.name)),
+                app_repro(app, "ACES", sel),
                 move |ctx| {
                     let limits = RunLimits::from_ctx(ctx);
-                    let (case, xcs, halt) = check_aces_app(app, &limits);
-                    job_result(halt, app_payload(&case, &xcs))
+                    let (case, crosschecks, halt) = check_aces_app(app, &limits);
+                    job_result(halt, app_payload(&case, &crosschecks))
                 },
             ),
             CheckJob::Gen(seed) => Job::new(
                 format!("check/{seg}gen/{seed}"),
-                format!(
-                    "{{\"seed\":{seed},\"shrink\":{do_shrink},\"backend\":\"{}\"}}",
-                    sel.name()
-                ),
+                {
+                    let mut w = Writer::new(Layout::Compact);
+                    w.obj().field("seed", &seed).field("shrink", &do_shrink);
+                    w.field("backend", sel.name()).end();
+                    w.finish()
+                },
                 move |ctx| {
                     let budget = gen_budget(&RunLimits::from_ctx(ctx));
                     let spec = generate(seed);
-                    let (opec_case, h1) =
+                    let (opec, mut halt) =
                         gen_opec_case(&spec, seed, do_shrink, &budget, sel, corpus);
-                    if !sel.has_aces() {
-                        return job_result(h1, format!("{{\"opec\":{}}}", case_json(&opec_case)));
+                    // The payload: the OPEC case, plus the ACES case on
+                    // a backend with an ACES port.
+                    let mut w = Writer::new(Layout::Compact);
+                    w.obj().field("opec", &opec);
+                    if sel.has_aces() {
+                        let (aces, h2) = gen_aces_case(&spec, seed, do_shrink, &budget);
+                        w.field("aces", &aces);
+                        halt = halt.max(h2);
                     }
-                    let (aces_case, h2) = gen_aces_case(&spec, seed, do_shrink, &budget);
-                    job_result(
-                        h1.max(h2),
-                        format!(
-                            "{{\"opec\":{},\"aces\":{}}}",
-                            case_json(&opec_case),
-                            case_json(&aces_case)
-                        ),
-                    )
+                    w.end();
+                    job_result(halt, w.finish())
                 },
             ),
         })
@@ -795,18 +751,18 @@ pub fn run_check_with(
                 }
             }
             (CheckJob::OpecApp(_) | CheckJob::AcesApp(_), _) => {
-                let (case, xcs) = app_payload_from(&rec.payload)?;
-                out.cases.push(case);
-                out.crosschecks.extend(xcs);
+                let doc = json::parse(&rec.payload).map_err(|e| format!("app payload: {e}"))?;
+                let bad = |e: DecodeError| format!("app payload: {e}");
+                out.cases.push(doc.field("case").map_err(bad)?);
+                out.crosschecks.extend(doc.field::<Vec<CrossCheck>>("crosschecks").map_err(bad)?);
             }
             (CheckJob::Gen(_), _) => {
                 let doc = json::parse(&rec.payload).map_err(|e| format!("gen payload: {e}"))?;
-                let v = doc.get("opec").ok_or("gen payload: no opec")?;
-                out.cases.push(case_from(v)?);
-                match doc.get("aces") {
-                    Some(v) => out.cases.push(case_from(v)?),
-                    None if !sel.has_aces() => {}
-                    None => return Err("gen payload: no aces".to_string()),
+                let case =
+                    |key| doc.field::<CaseResult>(key).map_err(|e| format!("gen payload: {e}"));
+                out.cases.push(case("opec")?);
+                if sel.has_aces() {
+                    out.cases.push(case("aces")?);
                 }
             }
         }
@@ -819,31 +775,6 @@ pub fn run_check_with(
         }
     }
     Ok((out, report))
-}
-
-/// The payload of one app job: its case plus its cross-checks.
-fn app_payload(case: &CaseResult, xcs: &[CrossCheck]) -> String {
-    use std::fmt::Write as _;
-    let mut s = format!("{{\"case\":{},\"crosschecks\":[", case_json(case));
-    for (i, x) in xcs.iter().enumerate() {
-        write!(s, "{}{}", if i == 0 { "" } else { "," }, crosscheck_json(x))
-            .expect("write to String");
-    }
-    s.push_str("]}");
-    s
-}
-
-fn app_payload_from(payload: &str) -> Result<(CaseResult, Vec<CrossCheck>), String> {
-    let doc = json::parse(payload).map_err(|e| format!("app payload: {e}"))?;
-    let case = case_from(doc.get("case").ok_or("app payload: no case")?)?;
-    let xcs = doc
-        .get("crosschecks")
-        .and_then(Value::as_arr)
-        .ok_or("app payload: no crosschecks")?
-        .iter()
-        .map(crosscheck_from)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok((case, xcs))
 }
 
 // ---------------------------------------------------------------------
@@ -1048,31 +979,31 @@ pub fn run_lockstep_with(
         .map(|&kind| match kind {
             CheckJob::OpecApp(app) => Job::new(
                 format!("lockstep/{seg}app/{}/opec", job_slug(app.name)),
-                format!(
-                    "{{\"app\":\"{}\",\"system\":\"OPEC\",\"backend\":\"{}\"}}",
-                    json::escape(app.name),
-                    sel.name()
-                ),
+                app_repro(app, "OPEC", sel),
                 move |ctx| {
                     let (case, halt) = lockstep_opec(&Firmware::from(app), ctx.fuel, sel);
-                    job_result(halt, case_json(&case))
+                    job_result(halt, json::to_string(&case, Layout::Compact))
                 },
             ),
             CheckJob::AcesApp(app) => Job::new(
                 format!("lockstep/{seg}app/{}/aces", job_slug(app.name)),
-                format!("{{\"app\":\"{}\",\"system\":\"ACES\"}}", json::escape(app.name)),
+                app_repro(app, "ACES", sel),
                 move |ctx| {
                     let (case, halt) = lockstep_aces(app, ctx.fuel);
-                    job_result(halt, case_json(&case))
+                    job_result(halt, json::to_string(&case, Layout::Compact))
                 },
             ),
             CheckJob::Gen(seed) => Job::new(
                 format!("lockstep/{seg}gen/{seed}"),
-                format!("{{\"seed\":{seed},\"backend\":\"{}\"}}", sel.name()),
+                {
+                    let mut w = Writer::new(Layout::Compact);
+                    w.obj().field("seed", &seed).field("backend", sel.name()).end();
+                    w.finish()
+                },
                 move |ctx| {
                     let spec = generate(seed);
                     let (case, halt) = lockstep_opec(&Firmware::from(&spec), ctx.fuel, sel);
-                    job_result(halt, case_json(&case))
+                    job_result(halt, json::to_string(&case, Layout::Compact))
                 },
             ),
         })
@@ -1089,8 +1020,8 @@ pub fn run_lockstep_with(
         if rec.outcome == JobOutcome::Panicked {
             out.cases.push(panicked_case(name, system, &rec.payload));
         } else {
-            let doc = json::parse(&rec.payload).map_err(|e| format!("lockstep payload: {e}"))?;
-            out.cases.push(case_from(&doc)?);
+            out.cases
+                .push(json::decode(&rec.payload).map_err(|e| format!("lockstep payload: {e}"))?);
         }
     }
     Ok((out, report))
@@ -1100,6 +1031,7 @@ pub fn run_lockstep_with(
 mod tests {
     use super::*;
     use crate::runs::FUEL;
+    use proptest::prelude::*;
 
     #[test]
     fn pinlock_is_divergence_free_with_agreeing_metrics() {
@@ -1142,27 +1074,85 @@ mod tests {
         assert_eq!(halt, Some(RunHalt::FuelExhausted));
     }
 
+    fn opt(keep: bool, s: String) -> Option<String> {
+        keep.then_some(s)
+    }
+
+    proptest! {
+        #[test]
+        fn case_results_round_trip(
+            texts in (any::<String>(), any::<String>(), any::<String>(), any::<bool>()),
+            counts in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+            opts in (any::<String>(), any::<bool>(), any::<String>(), any::<bool>(), any::<String>(), any::<bool>()),
+        ) {
+            let (name, div, more, aces) = texts;
+            let (total, checks, probes, switches) = counts;
+            let (e, has_e, sh, has_sh, note, has_note) = opts;
+            let case = CaseResult {
+                name,
+                system: if aces { "ACES" } else { "OPEC" },
+                divergences: vec![div, more],
+                total,
+                checks,
+                probes,
+                switches,
+                run_error: opt(has_e, e),
+                shrunk: opt(has_sh, sh),
+                note: opt(has_note, note),
+            };
+            let payload = json::to_string(&case, Layout::Compact);
+            let back: CaseResult = json::decode(&payload).unwrap();
+            prop_assert_eq!(&case, &back);
+            // Re-rendering yields the same bytes — the property the
+            // journal's byte-identical resume relies on.
+            prop_assert_eq!(payload, json::to_string(&back, Layout::Compact));
+        }
+
+        #[test]
+        fn crosschecks_round_trip(name in any::<String>(), ok in any::<bool>(), detail in any::<String>()) {
+            let x = CrossCheck { name, ok, detail };
+            let back: CrossCheck = json::decode(&json::to_string(&x, Layout::Compact)).unwrap();
+            prop_assert_eq!((&x.name, x.ok, &x.detail), (&back.name, back.ok, &back.detail));
+        }
+    }
+
     #[test]
-    fn case_payload_roundtrips_byte_identically() {
-        let case = CaseResult {
-            name: "gen[3]".into(),
-            system: "OPEC",
-            divergences: vec!["op 1: escape \"quoted\"".into(), "op 2".into()],
-            total: 2,
-            checks: 10,
-            probes: 4,
-            switches: 2,
-            run_error: Some("late \\ fail".into()),
-            shrunk: Some("seed 3\nmain: call op1".into()),
-            note: Some("n".into()),
+    fn report_json_escapes_every_string() {
+        let nasty = "tab\t nl\n quote\" back\\ \u{1} é";
+        let report = CheckReport {
+            backend: "armv7m",
+            cases: vec![CaseResult {
+                name: nasty.into(),
+                system: "OPEC",
+                divergences: vec![nasty.into()],
+                run_error: Some(nasty.into()),
+                shrunk: Some(nasty.into()),
+                note: Some(nasty.into()),
+                ..Default::default()
+            }],
+            crosschecks: vec![CrossCheck { name: nasty.into(), ok: true, detail: nasty.into() }],
         };
-        let payload = case_json(&case);
-        let doc = json::parse(&payload).unwrap();
-        let back = case_from(&doc).unwrap();
-        assert_eq!(case, back);
-        // And re-rendering yields the same bytes — the property the
-        // journal's byte-identical resume relies on.
-        assert_eq!(payload, case_json(&back));
+        let text = report.to_json();
+        // Layout newlines only: no raw tab or control character.
+        assert!(!text.contains(['\t', '\u{1}']), "{text}");
+        let v = json::parse(&text).expect("valid JSON");
+        let case = &v.get("cases").and_then(Value::as_arr).unwrap()[0];
+        for key in ["name", "run_error", "shrunk", "note"] {
+            assert_eq!(case.tag(key), Ok(nasty), "{key}");
+        }
+        assert_eq!(case.field::<Vec<String>>("divergences"), Ok(vec![nasty.to_string()]));
+        let x = &v.get("crosschecks").and_then(Value::as_arr).unwrap()[0];
+        assert_eq!((x.tag("name"), x.tag("detail")), (Ok(nasty), Ok(nasty)));
+    }
+
+    #[test]
+    fn an_empty_report_keeps_its_layout() {
+        let json = CheckReport::default().to_json();
+        assert_eq!(
+            json,
+            "{\n  \"backend\": \"armv7m\",\n  \"cases\": [\n  ],\n  \"crosschecks\": [\n  ],\n  \
+             \"failures\": 0\n}\n"
+        );
     }
 
     #[test]

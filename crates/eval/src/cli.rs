@@ -14,8 +14,8 @@
 //!                  armv7m | rv32-pmp             bench-vm, report)
 //! --seeds N        seeds per attack cell / generated firmwares
 //!                                               (attack-matrix, check)
-//! --json FILE      machine-readable artifact    (attack-matrix, bench-json,
-//!                                               check)
+//! --json FILE      machine-readable artifact    (attack-matrix, check,
+//!                                               fuzz, bench-vm, fleet)
 //! --shrink         shrink divergent firmwares   (check)
 //! --lockstep       cached-vs-plain equivalence  (check)
 //! --fuel N         guest instruction budget     (attack-matrix, check,
@@ -48,8 +48,8 @@
 //! --funcs          include function events      (report)
 //! ```
 //!
-//! For backward compatibility `csv DIR` and `bench-json FILE` also
-//! accept their original positional operand.
+//! For backward compatibility `csv DIR` also accepts its original
+//! positional operand.
 
 /// Parsed command-line arguments, shared by every subcommand.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -108,7 +108,7 @@ pub struct CliArgs {
     pub quantum: Option<u64>,
     /// `--port N`: HTTP listen port for `serve`.
     pub port: Option<u16>,
-    /// Positional operands (legacy `csv DIR` / `bench-json FILE`).
+    /// Positional operands (legacy `csv DIR`).
     pub positional: Vec<String>,
 }
 
@@ -363,12 +363,9 @@ mod tests {
         let a = parse(&["results-dir"]).unwrap();
         assert_eq!(a.positional, vec!["results-dir".to_string()]);
         assert!(a.forbid_unused("csv", &["--out", "positional"]).is_ok());
-        // `bench-json FILE`: likewise.
-        let b = parse(&["timings.json"]).unwrap();
-        assert!(b.forbid_unused("bench-json", &["--json", "positional"]).is_ok());
         // But a positional where none is accepted names the operand.
-        let err = b.forbid_unused("check", &["--seeds", "--json", "--shrink"]).unwrap_err();
-        assert!(err.contains("timings.json"), "{err}");
+        let err = a.forbid_unused("check", &["--seeds", "--json", "--shrink"]).unwrap_err();
+        assert!(err.contains("results-dir"), "{err}");
     }
 
     #[test]

@@ -42,13 +42,12 @@
 use std::path::Path;
 use std::time::Instant;
 
-use opec_campaign::json::{self, Value};
 use opec_campaign::{run_campaign, CampaignOpts, CampaignReport, Job, JobOutcome};
 use opec_core::SystemPolicy;
 use opec_fleet::FleetBackend;
 use opec_inject::SplitMix64;
+use opec_obs::json::{self, DecodeError, FromJson, Layout, ToJson, Value, Writer};
 use opec_obs::{OracleKind, OracleLayer};
-use opec_oracle::corpus::{spec_from, spec_json};
 use opec_oracle::divergence::Observed;
 use opec_oracle::{
     break_mpu_latent, generate, mutate_stacked, run_opec_cov, Corpus, CoverageMap, FirmwareSpec,
@@ -208,31 +207,54 @@ impl FuzzReport {
 
     /// Machine-readable artifact (the CI `fuzz.json`).
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = format!(
-            "{{\n  \"backend\": \"{}\",\n  \"mode\": \"{}\",\n  \"jobs\": {},\n  \
-             \"rounds\": {},\n  \"corpus_entries\": {},\n  \"new_entries\": {},\n  \
-             \"features\": {},\n  \"coverage_digest\": \"{:016x}\",\n  \"divergent\": [",
-            self.backend,
-            self.mode,
-            self.jobs,
-            self.rounds,
-            self.entries,
-            self.new_entries,
-            self.features,
-            self.coverage_digest,
-        );
-        for (i, d) in self.divergent.iter().enumerate() {
-            write!(s, "{}\"{}\"", if i == 0 { "" } else { ", " }, json::escape(d))
-                .expect("write to String");
+        let mut w = Writer::new(Layout::Report);
+        w.obj().field("backend", self.backend).field("mode", self.mode);
+        w.field("jobs", &self.jobs).field("rounds", &self.rounds);
+        w.field("corpus_entries", &self.entries).field("new_entries", &self.new_entries);
+        w.field("features", &self.features);
+        w.field("coverage_digest", &format!("{:016x}", self.coverage_digest));
+        w.field("divergent", &self.divergent).field("errors", &self.errors);
+        w.field("failures", &self.failures().len()).end();
+        w.finish() + "\n"
+    }
+}
+
+/// How a planned input was obtained: a fresh plan, or `steps` stacked
+/// mutations of `base` (a corpus key, or a frontier or pool index)
+/// seeded with `mseed`. Embedded in journal records and repro artifacts.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Desc {
+    Fresh { seed: u64 },
+    Mutant { base: String, mseed: u64, steps: u32 },
+}
+
+impl ToJson for Desc {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj();
+        match self {
+            Desc::Fresh { seed } => w.field("kind", "fresh").field("seed", seed),
+            Desc::Mutant { base, mseed, steps } => {
+                w.field("kind", "mutant").field("base", base).field("mseed", mseed);
+                w.field("steps", steps)
+            }
+        };
+        w.end();
+    }
+}
+
+impl FromJson for Desc {
+    fn from_json(v: &Value) -> Result<Desc, DecodeError> {
+        match v.tag("kind")? {
+            "fresh" => Ok(Desc::Fresh { seed: v.field("seed")? }),
+            "mutant" => Ok(Desc::Mutant {
+                base: v.field("base")?,
+                mseed: v.field("mseed")?,
+                steps: v.field("steps")?,
+            }),
+            other => {
+                Err(DecodeError::new(format!("unknown input kind {other:?}")).in_field("kind"))
+            }
         }
-        s.push_str("],\n  \"errors\": [");
-        for (i, e) in self.errors.iter().enumerate() {
-            write!(s, "{}\"{}\"", if i == 0 { "" } else { ", " }, json::escape(e))
-                .expect("write to String");
-        }
-        s.push_str(&format!("],\n  \"failures\": {}\n}}\n", self.failures().len()));
-        s
     }
 }
 
@@ -241,7 +263,7 @@ impl FuzzReport {
 /// and repro artifacts).
 struct Planned {
     spec: FirmwareSpec,
-    desc: String,
+    desc: Desc,
 }
 
 /// Plans one round of inputs from the aggregate state so far. Fully
@@ -269,10 +291,7 @@ fn plan_round(
         };
         if !have_bases || i % FRESH_EVERY == 0 {
             let seed = salt ^ (round * DEFAULT_ROUND.max(count) + i);
-            out.push(Planned {
-                spec: generate(seed),
-                desc: format!("{{\"kind\":\"fresh\",\"seed\":{seed}}}"),
-            });
+            out.push(Planned { spec: generate(seed), desc: Desc::Fresh { seed } });
             continue;
         }
         let steps = 1 + rng.gen_range(0, MAX_STACK) as u32;
@@ -294,10 +313,7 @@ fn plan_round(
         };
         out.push(Planned {
             spec: mutate_stacked(base, mseed, steps),
-            desc: format!(
-                "{{\"kind\":\"mutant\",\"base\":\"{}\",\"mseed\":{mseed},\"steps\":{steps}}}",
-                json::escape(&from)
-            ),
+            desc: Desc::Mutant { base: from, mseed, steps },
         });
     }
     out
@@ -305,38 +321,51 @@ fn plan_round(
 
 /// The single-line journal payload of one fuzz job: the input
 /// descriptor, the canonical plan (so aggregation never re-derives
-/// it), the run's coverage features, and its verdict summary.
-fn job_payload(desc: &str, spec: &FirmwareSpec, v: &Verdict, cov: &CoverageMap) -> String {
-    use std::fmt::Write as _;
-    let mut s = format!("{{\"desc\":{desc},\"spec\":{},\"total\":{}", spec_json(spec), {
-        v.total_divergences
-    });
-    match &v.run_error {
-        Some(e) => write!(s, ",\"run_error\":\"{}\"", json::escape(e)).expect("write to String"),
-        None => s.push_str(",\"run_error\":null"),
-    }
-    s.push_str(",\"divergences\":[");
-    for (i, d) in v.divergences.iter().take(DIV_CAP).enumerate() {
-        write!(s, "{}\"{}\"", if i == 0 { "" } else { "," }, json::escape(&format!("{d}")))
-            .expect("write to String");
-    }
-    s.push_str("],\"coverage\":[");
-    for (i, f) in cov.features().enumerate() {
-        write!(s, "{}{f}", if i == 0 { "" } else { "," }).expect("write to String");
-    }
-    s.push_str("]}");
-    s
+/// it), the run's coverage features, and its verdict summary. Decoding
+/// it validates the plan, so a journal cannot smuggle an ill-formed
+/// plan into the corpus on resume.
+#[derive(Debug, Clone, PartialEq)]
+struct JobPayload {
+    desc: Desc,
+    spec: FirmwareSpec,
+    total: u64,
+    run_error: Option<String>,
+    divergences: Vec<String>,
+    coverage: Vec<u64>,
 }
 
-/// The payload of a job whose pipeline rejected the plan outright
-/// (mutants must always compile — this is a hard failure, not a skip).
-fn error_payload(desc: &str, spec: &FirmwareSpec, e: &str) -> String {
-    format!(
-        "{{\"desc\":{desc},\"spec\":{},\"total\":0,\"run_error\":\"{}\",\
-         \"divergences\":[],\"coverage\":[]}}",
-        spec_json(spec),
-        json::escape(e)
-    )
+impl JobPayload {
+    fn new(desc: &Desc, spec: &FirmwareSpec, v: &Verdict, cov: &CoverageMap) -> JobPayload {
+        JobPayload {
+            desc: desc.clone(),
+            spec: spec.clone(),
+            total: v.total_divergences,
+            run_error: v.run_error.clone(),
+            divergences: v.divergences.iter().take(DIV_CAP).map(|d| d.to_string()).collect(),
+            coverage: cov.features().collect(),
+        }
+    }
+}
+
+impl ToJson for JobPayload {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj().field("desc", &self.desc).field("spec", &self.spec).field("total", &self.total);
+        w.field("run_error", &self.run_error).field("divergences", &self.divergences);
+        w.field("coverage", &self.coverage).end();
+    }
+}
+
+impl FromJson for JobPayload {
+    fn from_json(v: &Value) -> Result<JobPayload, DecodeError> {
+        Ok(JobPayload {
+            desc: v.field("desc")?,
+            spec: v.field("spec")?,
+            total: v.field("total")?,
+            run_error: v.field("run_error")?,
+            divergences: v.field("divergences")?,
+            coverage: v.field("coverage")?,
+        })
+    }
 }
 
 /// Folds one round's records (fresh or journal-resumed — same bytes
@@ -355,33 +384,17 @@ fn fold_round(
             report.errors.push(format!("{}: {}", rec.id, rec.payload));
             continue;
         }
-        let doc = json::parse(&rec.payload).map_err(|e| format!("{} payload: {e}", rec.id))?;
-        let spec = spec_from(doc.get("spec").ok_or_else(|| format!("{}: no spec", rec.id))?)
-            .map_err(|e| format!("{} spec: {e}", rec.id))?;
-        let total = doc
-            .get("total")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("{}: no total", rec.id))?;
+        let payload = json::decode::<JobPayload>(&rec.payload)
+            .map_err(|e| format!("{} payload: {e}", rec.id))?;
+        let (spec, total) = (payload.spec, payload.total);
         if total > 0 {
-            let first = doc
-                .get("divergences")
-                .and_then(Value::as_arr)
-                .and_then(|a| a.first())
-                .and_then(Value::as_str)
-                .unwrap_or("");
+            let first = payload.divergences.first().map_or("", String::as_str);
             report.divergent.push(format!("{}: {total} divergences: {first}", rec.id));
         }
-        if let Some(e) = doc.get("run_error").and_then(Value::as_str) {
+        if let Some(e) = &payload.run_error {
             report.errors.push(format!("{}: run error: {e}", rec.id));
         }
-        let feats = doc
-            .get("coverage")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| format!("{}: no coverage", rec.id))?
-            .iter()
-            .map(|f| f.as_u64().ok_or_else(|| format!("{}: bad feature", rec.id)))
-            .collect::<Result<Vec<_>, _>>()?;
-        let cov = CoverageMap::from_features(feats);
+        let cov = CoverageMap::from_features(payload.coverage);
         if corpus.admit(spec.clone(), cov).is_some() {
             report.new_entries += 1;
             frontier.push(spec.clone());
@@ -447,20 +460,25 @@ pub fn run_fuzz_with(
             .map(|(i, p)| {
                 let spec = p.spec.clone();
                 let desc = p.desc.clone();
+                let mut repro = Writer::new(Layout::Compact);
+                repro.obj().field("input", &desc).field("backend", sel.name());
+                repro.field("mode", opts.mode.name()).end();
                 Job::new(
                     format!("fuzz/{seg}{}/r{round}/{i}", opts.mode.name()),
-                    format!(
-                        "{{\"input\":{},\"backend\":\"{}\",\"mode\":\"{}\"}}",
-                        desc,
-                        sel.name(),
-                        opts.mode.name()
-                    ),
+                    repro.finish(),
                     move |ctx| {
                         let budget = gen_budget(&RunLimits::from_ctx(ctx));
-                        match run_opec_cov(&spec, None, &budget, sel.dyn_backend()) {
-                            Ok((v, cov)) => job_result(v.halt, job_payload(&desc, &spec, &v, &cov)),
-                            Err(e) => job_result(None, error_payload(&desc, &spec, &e)),
-                        }
+                        let (halt, payload) =
+                            match run_opec_cov(&spec, None, &budget, sel.dyn_backend()) {
+                                Ok((v, cov)) => (v.halt, JobPayload::new(&desc, &spec, &v, &cov)),
+                                // Mutants must always compile: a rejected plan
+                                // is a hard failure, not a skip.
+                                Err(e) => {
+                                    let v = Verdict { run_error: Some(e), ..Verdict::default() };
+                                    (None, JobPayload::new(&desc, &spec, &v, &CoverageMap::new()))
+                                }
+                            };
+                        job_result(halt, json::to_string(&payload, Layout::Compact))
                     },
                 )
             })
@@ -633,37 +651,24 @@ fn bench_cell(mode: FuzzMode, sel: FleetBackend, opts: &BenchOptions) -> (Cell, 
     (Cell { found, jobs, ms, median_jobs, median_ms }, last_corpus)
 }
 
-fn cell_json(c: &Cell) -> String {
-    let jobs = c
-        .jobs
-        .iter()
-        .map(|j| match j {
-            Some(v) => v.to_string(),
-            None => "null".to_string(),
-        })
-        .collect::<Vec<_>>()
-        .join(", ");
-    let ms = c.ms.iter().map(u64::to_string).collect::<Vec<_>>().join(", ");
-    format!(
-        "{{\"found\": {}, \"median_jobs\": {}, \"median_ms\": {}, \"jobs\": [{jobs}], \
-         \"ms\": [{ms}]}}",
-        c.found, c.median_jobs, c.median_ms
-    )
+impl ToJson for Cell {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj().field("found", &self.found).field("median_jobs", &self.median_jobs);
+        w.field("median_ms", &self.median_ms).field("jobs", &self.jobs).field("ms", &self.ms);
+        w.end();
+    }
 }
 
 /// Runs the full time-to-find benchmark (both backends × both modes ×
 /// `opts.trials` trials) plus the corpus-replay determinism check, and
 /// renders `BENCH_fuzz.json`.
 pub fn bench_time_to_find(opts: &BenchOptions) -> Result<String, String> {
-    let mut out = format!(
-        "{{\n  \"schema\": \"opec-bench-fuzz-v1\",\n  \"trials\": {},\n  \
-         \"budget_jobs\": {},\n  \"round\": {},\n  \"latent_min_windows\": {},\n  \
-         \"backends\": [\n",
-        opts.trials, opts.budget, DEFAULT_ROUND, LATENT_MIN_WINDOWS
-    );
+    let mut w = Writer::new(Layout::Report);
+    w.obj().field("schema", "opec-bench-fuzz-v1").field("trials", &opts.trials);
+    w.field("budget_jobs", &opts.budget).field("round", &DEFAULT_ROUND);
+    w.field("latent_min_windows", &LATENT_MIN_WINDOWS).key("backends").rows();
     let mut replay: Option<(FleetBackend, Corpus)> = None;
-    let backends = FleetBackend::ALL;
-    for (bi, &sel) in backends.iter().enumerate() {
+    for sel in FleetBackend::ALL {
         eprintln!("[opec-eval] time-to-find on {} ({} trials per mode)...", sel.name(), {
             opts.trials
         });
@@ -673,16 +678,9 @@ pub fn bench_time_to_find(opts: &BenchOptions) -> Result<String, String> {
         // Censored random trials count the full budget, so the true
         // ratio is at least this.
         let advantage = random.median_jobs as f64 / guided.median_jobs.max(1) as f64;
-        out.push_str(&format!(
-            "    {{\"backend\": \"{}\",\n     \"guided\": {},\n     \"random\": {},\n     \
-             \"advantage_jobs\": {:.2},\n     \"random_censored\": {}}}{}\n",
-            sel.name(),
-            cell_json(&guided),
-            cell_json(&random),
-            advantage,
-            opts.trials - random.found,
-            if bi + 1 < backends.len() { "," } else { "" }
-        ));
+        w.obj().field("backend", sel.name()).field("guided", &guided).field("random", &random);
+        w.key("advantage_jobs").fixed(advantage, 2);
+        w.field("random_censored", &(opts.trials - random.found)).end();
         if replay.is_none() {
             if let Some(c) = guided_corpus {
                 if !c.entries.is_empty() {
@@ -691,7 +689,7 @@ pub fn bench_time_to_find(opts: &BenchOptions) -> Result<String, String> {
             }
         }
     }
-    out.push_str("  ],\n");
+    w.end();
     let (sel, corpus) = replay.ok_or("no guided trial produced a corpus to replay")?;
     eprintln!(
         "[opec-eval] replaying a {}-entry guided corpus twice on {}...",
@@ -700,23 +698,73 @@ pub fn bench_time_to_find(opts: &BenchOptions) -> Result<String, String> {
     );
     let a = replay_digest(&corpus, sel)?;
     let b = replay_digest(&corpus, sel)?;
-    out.push_str(&format!(
-        "  \"replay\": {{\"backend\": \"{}\", \"entries\": {}, \"digest_a\": \"{a:016x}\", \
-         \"digest_b\": \"{b:016x}\", \"deterministic\": {}}}\n}}\n",
-        sel.name(),
-        corpus.entries.len(),
-        a == b
-    ));
+    w.key("replay").obj().field("backend", sel.name()).field("entries", &corpus.entries.len());
+    w.field("digest_a", &format!("{a:016x}")).field("digest_b", &format!("{b:016x}"));
+    w.field("deterministic", &(a == b)).end().end();
     if a != b {
         return Err("corpus replay was non-deterministic".to_string());
     }
-    Ok(out)
+    Ok(w.finish() + "\n")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use opec_campaign::CampaignOpts;
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn job_payloads_round_trip(
+            seed in any::<u64>(),
+            base in any::<String>(),
+            mutant in any::<bool>(),
+            err in (any::<bool>(), any::<String>()),
+            divergences in proptest::collection::vec(any::<String>(), 0..4),
+            coverage in proptest::collection::vec(any::<u64>(), 0..8),
+        ) {
+            let desc = if mutant {
+                Desc::Mutant { base, mseed: seed.rotate_left(7), steps: seed as u32 }
+            } else {
+                Desc::Fresh { seed }
+            };
+            let payload = JobPayload {
+                desc,
+                spec: mutate_stacked(&generate(seed), seed, 2),
+                total: seed >> 3,
+                run_error: err.0.then_some(err.1),
+                divergences,
+                coverage,
+            };
+            let text = json::to_string(&payload, Layout::Compact);
+            let back: JobPayload = json::decode(&text).unwrap();
+            prop_assert_eq!(&payload, &back);
+            prop_assert_eq!(text, json::to_string(&back, Layout::Compact));
+        }
+    }
+
+    #[test]
+    fn a_journaled_over_cap_plan_is_refused_on_resume() {
+        let dir = std::env::temp_dir().join("opec-fuzz-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("overcap-{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let mut o = copts();
+        o.journal = Some(path.to_string_lossy().into_owned());
+        // One round, so the run ends right after folding its records.
+        let opts = FuzzOptions { seeds: 2, round: 2, ..FuzzOptions::default() };
+        run_fuzz_with(&opts, &o).expect("first run");
+        // Doctor the first record's plan: its first global grows past
+        // the cap, as a hand-edited or corrupted journal might.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let at = text.find("\"globals\":[{\"words\":").expect("a record with a global");
+        let start = at + "\"globals\":[{\"words\":".len();
+        let end = start + text[start..].find(',').unwrap();
+        std::fs::write(&path, format!("{}257{}", &text[..start], &text[end..])).unwrap();
+        let err = run_fuzz_with(&opts, &o).expect_err("an over-cap plan must not resume");
+        assert!(err.contains("ill-formed plan: global 0 has 257 words, exceeds cap 256"), "{err}");
+        let _ = std::fs::remove_file(&path);
+    }
 
     fn copts() -> CampaignOpts {
         CampaignOpts {

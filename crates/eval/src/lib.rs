@@ -45,13 +45,11 @@
 //! opec-eval all           # every table and figure, from one memoized pass
 //! opec-eval table1 | figure9 | table2 | figure10 | figure11 | table3
 //! opec-eval case-study    # the §6.1 PinLock attack demonstration
-//! opec-eval bench-json    # machine-readable solver + pipeline timings
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod attack;
-pub mod benchjson;
 pub mod benchvm;
 pub mod cache;
 pub mod check;

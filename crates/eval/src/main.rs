@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use opec_apps::programs::all_apps;
 use opec_eval::engine::EngineOpts;
-use opec_eval::{attack, benchjson, benchvm, check, fuzz, obsreport, report, CliArgs};
+use opec_eval::{attack, benchvm, check, fuzz, obsreport, report, CliArgs};
 use opec_fleet::{
     fleet_bench, resolve_workers, run_fleet, BenchConfig, FleetBackend, FleetConfig, FleetShared,
     Mix, ServeState,
@@ -35,8 +35,6 @@ opec-eval — regenerate the paper's tables and figures
   opec-eval table3              icall analysis efficiency
   opec-eval case-study          the §6.1 PinLock attack demonstration
   opec-eval csv [--out DIR]     every table/figure as CSV (default: results/)
-  opec-eval bench-json [--json FILE]
-                                machine-readable timings (default: stdout)
   opec-eval bench-vm [--backend B] [--seeds N] [--json FILE] [CAMPAIGN FLAGS]
                                 VM fast-path benchmark (BENCH_vm.json):
                                 plain vs pre-decoded instructions/sec per app,
@@ -159,7 +157,7 @@ Exit codes: 0 clean; 1 hard failures (escapes, divergences, crashes);
 2 usage errors; 3 no hard failures but unknown outcomes — jobs that
 exhausted fuel, timed out, or panicked, or verdicts left undecided.
 
-Legacy positional forms `csv DIR` and `bench-json FILE` still work.
+The legacy positional form `csv DIR` still works.
 ";
 
 /// The subcommand's own flags plus the shared campaign supervision
@@ -181,6 +179,19 @@ fn fail(msg: &str) -> ! {
 /// unwritable artifact path should abort before them, not after.
 fn create(path: &str) -> std::fs::File {
     std::fs::File::create(path).unwrap_or_else(|e| fail(&format!("cannot create {path}: {e}")))
+}
+
+/// Writes a JSON artifact to the file `--json` opened, else to stdout
+/// when `or_stdout`.
+fn write_json(out: Option<(std::fs::File, String)>, json: &str, or_stdout: bool) {
+    match out {
+        Some((mut file, path)) => {
+            file.write_all(json.as_bytes()).unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
+            eprintln!("[opec-eval] wrote {path}");
+        }
+        None if or_stdout => print!("{json}"),
+        None => {}
+    }
 }
 
 fn main() {
@@ -255,19 +266,6 @@ fn main() {
             println!("{}", report::figure11(&cmp));
             println!("{}", report::case_study());
         }
-        "bench-json" => {
-            no_flags(&["--json", "positional"]);
-            let path = args.json.clone().or_else(|| args.positional.first().cloned());
-            let out = path.map(|p| (create(&p), p));
-            let json = benchjson::bench_json();
-            match out {
-                Some((mut file, path)) => {
-                    file.write_all(json.as_bytes()).expect("write bench JSON");
-                    eprintln!("[opec-eval] wrote {path}");
-                }
-                None => print!("{json}"),
-            }
-        }
         "bench-vm" => {
             no_flags(&campaign_flags(&["--backend", "--seeds", "--json"]));
             let sel = FleetBackend::from_flag(args.backend.as_deref()).unwrap_or_else(|e| fail(&e));
@@ -276,13 +274,7 @@ fn main() {
             let out = args.json.clone().map(|p| (create(&p), p));
             let (json, divergences, campaign) =
                 benchvm::bench_vm_campaign(seeds, &engine, sel).unwrap_or_else(|e| fail(&e));
-            match out {
-                Some((mut file, path)) => {
-                    file.write_all(json.as_bytes()).expect("write BENCH_vm.json");
-                    eprintln!("[opec-eval] wrote {path}");
-                }
-                None => print!("{json}"),
-            }
+            write_json(out, &json, true);
             eprintln!("[opec-eval] {}", campaign.summary());
             if divergences > 0 {
                 eprintln!("[opec-eval] bench-vm FAILED: {divergences} lockstep divergences");
@@ -311,10 +303,7 @@ fn main() {
                 attack::attack_matrix_campaign(&all_apps(), seeds, &engine, sel)
                     .unwrap_or_else(|e| fail(&e));
             print!("{}", matrix.render());
-            if let Some((mut file, path)) = out {
-                file.write_all(matrix.to_json().as_bytes()).expect("write matrix JSON");
-                eprintln!("[opec-eval] wrote {path}");
-            }
+            write_json(out, &matrix.to_json(), false);
             eprintln!("[opec-eval] {}", campaign.summary());
             let failures = matrix.failures();
             if !failures.is_empty() {
@@ -380,10 +369,7 @@ fn main() {
                 .unwrap_or_else(|e| fail(&e))
             };
             print!("{}", rep.render());
-            if let Some((mut file, path)) = out {
-                file.write_all(rep.to_json().as_bytes()).expect("write oracle JSON");
-                eprintln!("[opec-eval] wrote {path}");
-            }
+            write_json(out, &rep.to_json(), false);
             eprintln!("[opec-eval] {}", campaign.summary());
             let failures = rep.failures();
             if !failures.is_empty() {
@@ -446,13 +432,7 @@ fn main() {
                     eprintln!("opec-eval: fuzz benchmark FAILED: {e}");
                     std::process::exit(1);
                 });
-                match out {
-                    Some((mut file, path)) => {
-                        file.write_all(json.as_bytes()).expect("write BENCH_fuzz.json");
-                        eprintln!("[opec-eval] wrote {path}");
-                    }
-                    None => print!("{json}"),
-                }
+                write_json(out, &json, true);
                 return;
             }
             if args.trials.is_some() {
@@ -480,10 +460,7 @@ fn main() {
             let (rep, campaign) =
                 fuzz::run_fuzz_campaign(&opts, &engine).unwrap_or_else(|e| fail(&e));
             print!("{}", rep.render());
-            if let Some((mut file, path)) = out {
-                file.write_all(rep.to_json().as_bytes()).expect("write fuzz JSON");
-                eprintln!("[opec-eval] wrote {path}");
-            }
+            write_json(out, &rep.to_json(), false);
             eprintln!("[opec-eval] {}", campaign.summary());
             let failures = rep.failures();
             if !failures.is_empty() {
@@ -541,13 +518,7 @@ fn main() {
                 cfg.backends.iter().map(|b| b.name()).collect::<Vec<_>>().join("+"),
             );
             let rep = fleet_bench(&cfg).unwrap_or_else(|e| fail(&e));
-            match out {
-                Some((mut file, path)) => {
-                    file.write_all(rep.json.as_bytes()).expect("write BENCH_fleet.json");
-                    eprintln!("[opec-eval] wrote {path}");
-                }
-                None => print!("{}", rep.json),
-            }
+            write_json(out, &rep.json, true);
             if rep.sheds > 0 {
                 eprintln!(
                     "[opec-eval] fleet FAILED: {} events shed during benchmark runs — \
@@ -654,10 +625,7 @@ fn main() {
             );
             let rep = obsreport::collect(&args);
             print!("{}", obsreport::render(&rep));
-            if let Some((mut file, path)) = obs_out {
-                file.write_all(obsreport::to_json(&rep).as_bytes()).expect("write metrics JSON");
-                eprintln!("[opec-eval] wrote {path}");
-            }
+            write_json(obs_out, &obsreport::to_json(&rep), false);
             if let Some((mut file, path)) = trace_out {
                 match obsreport::first_chrome_trace(&rep) {
                     Some((label, json)) => {

@@ -27,7 +27,8 @@ use opec_apps::programs::{aces_comparison_apps, all_apps};
 use opec_apps::App;
 use opec_core::Armv7mBackend;
 use opec_fleet::FleetBackend;
-use opec_obs::{chrome_trace, metrics_json, Metrics, Obs, Recorder, Stamped};
+use opec_obs::json::{self, Layout, ToJson, Writer};
+use opec_obs::{chrome_trace, Metrics, Obs, Recorder, Stamped};
 use opec_oracle::{Firmware, System};
 use opec_vm::{Supervisor, Vm};
 
@@ -313,33 +314,28 @@ fn render_switch_costs(report: &ObsReport) -> String {
     out
 }
 
+impl ToJson for ObsRun {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj().field("app", self.app).field("system", self.system);
+        w.field("backend", self.backend).field("cycles", &self.cycles);
+        w.field("events_total", &self.events_total).field("events_dropped", &self.dropped);
+        w.field("metrics", &self.metrics).end();
+    }
+}
+
+impl ToJson for ObsReport {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj().field("runs", &self.runs).key("skipped").arr();
+        for (cell, reason) in &self.skipped {
+            w.obj().field("cell", cell).field("reason", reason).end();
+        }
+        w.end().end();
+    }
+}
+
 /// Renders the whole report as one JSON document (`--obs-json`).
 pub fn to_json(report: &ObsReport) -> String {
-    let mut runs = Vec::new();
-    for r in &report.runs {
-        runs.push(format!(
-            "{{\"app\":\"{}\",\"system\":\"{}\",\"backend\":\"{}\",\"cycles\":{},\"events_total\":{},\"events_dropped\":{},\"metrics\":{}}}",
-            r.app,
-            r.system,
-            r.backend,
-            r.cycles,
-            r.events_total,
-            r.dropped,
-            metrics_json(&r.metrics),
-        ));
-    }
-    let skipped: Vec<String> = report
-        .skipped
-        .iter()
-        .map(|(cell, reason)| {
-            format!(
-                "{{\"cell\":\"{}\",\"reason\":\"{}\"}}",
-                cell,
-                reason.replace('\\', "\\\\").replace('"', "\\\"")
-            )
-        })
-        .collect();
-    format!("{{\"runs\":[{}],\"skipped\":[{}]}}\n", runs.join(","), skipped.join(","))
+    json::to_string(report, Layout::Compact) + "\n"
 }
 
 /// The Chrome trace for the first collected run (`--trace`); filter
@@ -396,6 +392,33 @@ mod tests {
         let (label, trace) = first_chrome_trace(&report).unwrap();
         assert_eq!(label, "PinLock/opec/armv7m");
         assert!(trace.contains("\"traceEvents\""));
+    }
+
+    #[test]
+    fn obs_json_escapes_every_string() {
+        let nasty = "tab\t nl\n quote\" back\\ \u{1} é";
+        let report = ObsReport {
+            runs: vec![ObsRun {
+                app: nasty,
+                system: "opec",
+                backend: "armv7m",
+                cycles: 1,
+                events: Vec::new(),
+                metrics: Metrics::new(),
+                events_total: 0,
+                dropped: 0,
+            }],
+            skipped: vec![(nasty.to_string(), nasty.to_string())],
+        };
+        let text = to_json(&report);
+        // One line: no raw newline, tab or control character inside.
+        assert!(!text.trim_end().contains(['\n', '\t', '\u{1}']), "{text}");
+        let v = json::parse(&text).expect("valid JSON");
+        let run = &v.get("runs").and_then(|r| r.as_arr()).expect("runs")[0];
+        assert_eq!(run.tag("app"), Ok(nasty));
+        let skip = &v.get("skipped").and_then(|s| s.as_arr()).expect("skipped")[0];
+        assert_eq!(skip.tag("cell"), Ok(nasty));
+        assert_eq!(skip.tag("reason"), Ok(nasty));
     }
 
     #[test]

@@ -182,7 +182,7 @@ pub fn evaluate_app(app: &App, with_aces: bool) -> AppEval {
 }
 
 /// Evaluates one application on the calling thread only (the seed's
-/// behaviour; the `bench-json` naive baseline measures this path).
+/// behaviour).
 pub fn evaluate_app_sequential(app: &App, with_aces: bool) -> AppEval {
     let (base_cycles, base_flash, base_sram) = run_baseline(app);
     let opec = Arc::new(run_opec(app));
@@ -202,11 +202,6 @@ pub fn evaluate_many(apps: &[App], with_aces: bool) -> Vec<AppEval> {
             apps.iter().map(|a| s.spawn(move || evaluate_app(a, with_aces))).collect();
         handles.into_iter().map(join).collect()
     })
-}
-
-/// Sequential [`evaluate_many`] (the seed's behaviour).
-pub fn evaluate_many_sequential(apps: &[App], with_aces: bool) -> Vec<AppEval> {
-    apps.iter().map(|a| evaluate_app_sequential(a, with_aces)).collect()
 }
 
 impl AppEval {

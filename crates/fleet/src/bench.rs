@@ -17,6 +17,7 @@
 
 use std::time::{Duration, Instant};
 
+use opec_obs::json::{Layout, ToJson, Writer};
 use opec_obs::{Histogram, Metrics, Obs};
 
 use crate::mix::{FleetBackend, Mix};
@@ -66,13 +67,14 @@ pub struct BenchReport {
 
 /// Host metadata for cross-machine perf-trajectory diffing; shared by
 /// `BENCH_fleet.json` and `BENCH_vm.json`.
-pub fn host_json() -> String {
-    format!(
-        "{{\"os\": \"{}\", \"arch\": \"{}\", \"cpus\": {}}}",
-        std::env::consts::OS,
-        std::env::consts::ARCH,
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    )
+pub struct Host;
+
+impl ToJson for Host {
+    fn write_json(&self, w: &mut Writer) {
+        let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        w.obj().field("os", std::env::consts::OS).field("arch", std::env::consts::ARCH);
+        w.field("cpus", &cpus).end();
+    }
 }
 
 /// The upper bound of the histogram bucket holding quantile `q`, in
@@ -196,76 +198,54 @@ pub fn fleet_bench(cfg: &BenchConfig) -> Result<BenchReport, String> {
         ring: None,
     };
 
+    let mut w = Writer::new(Layout::Report);
+    w.obj().field("schema", "opec-bench-fleet-v1").field("host", &Host);
+    w.field("mix", &cfg.mix.spec()).key("backends").arr();
+    for b in &cfg.backends {
+        w.val(b.name());
+    }
+    w.end().field("quantum_fuel", &cfg.quantum_fuel).field("workers", &workers);
+    w.key("spawn").rows();
+    for r in &spawn_rows {
+        w.obj().field("kind", r.kind).field("backend", r.backend);
+        w.key("init_us").fixed(r.init_us, 1).key("pooled_us").fixed(r.pooled_us, 1);
+        w.key("speedup").fixed(r.speedup, 1).end();
+    }
+    w.end().key("spawn_speedup_min").fixed(min_spawn_speedup, 1);
+
     let mut sheds = 0u64;
-    let mut ladder_json = Vec::new();
+    w.key("ladder").rows();
     for &devices in &ladder {
         eprintln!("[opec-fleet] ladder: {devices} devices, {workers} workers, {share:.1?}...");
         let out = run_fleet(&fleet_cfg(devices, cfg.workers), None)?;
         sheds += out.sheds;
         let (enter, exit) = switch_hists(&out.metrics);
-        ladder_json.push(format!(
-            "    {{\"devices\": {devices}, \"workers\": {}, \"wall_ms\": {}, \"steps\": {}, \
-             \"steps_per_sec\": {:.0}, \"quanta\": {}, \"resets\": {}, \"faults\": {}, \
-             \"switch_enter_p50_cycles\": {}, \"switch_enter_p99_cycles\": {}, \
-             \"switch_exit_p50_cycles\": {}, \"switch_exit_p99_cycles\": {}, \
-             \"sheds\": {}, \"panics\": {}}}",
-            out.workers,
-            out.wall.as_millis(),
-            out.steps(),
-            out.steps_per_sec(),
-            out.quanta(),
-            out.resets(),
-            out.faults(),
-            hist_quantile(&enter, 0.50),
-            hist_quantile(&enter, 0.99),
-            hist_quantile(&exit, 0.50),
-            hist_quantile(&exit, 0.99),
-            out.sheds,
-            out.panics.len(),
-        ));
+        w.obj().field("devices", &devices).field("workers", &out.workers);
+        w.field("wall_ms", &out.wall.as_millis()).field("steps", &out.steps());
+        w.key("steps_per_sec").fixed(out.steps_per_sec(), 0);
+        w.field("quanta", &out.quanta()).field("resets", &out.resets());
+        w.field("faults", &out.faults());
+        w.field("switch_enter_p50_cycles", &hist_quantile(&enter, 0.50));
+        w.field("switch_enter_p99_cycles", &hist_quantile(&enter, 0.99));
+        w.field("switch_exit_p50_cycles", &hist_quantile(&exit, 0.50));
+        w.field("switch_exit_p99_cycles", &hist_quantile(&exit, 0.99));
+        w.field("sheds", &out.sheds).field("panics", &out.panics.len()).end();
     }
+    w.end();
 
-    let mut scaling_json = Vec::new();
-    for &w in &scale_workers {
-        eprintln!("[opec-fleet] scaling: {scale_devices} devices, {w} workers, {share:.1?}...");
-        let out = run_fleet(&fleet_cfg(scale_devices, Some(w)), None)?;
+    w.key("worker_scaling").rows();
+    for &workers in &scale_workers {
+        eprintln!(
+            "[opec-fleet] scaling: {scale_devices} devices, {workers} workers, {share:.1?}..."
+        );
+        let out = run_fleet(&fleet_cfg(scale_devices, Some(workers)), None)?;
         sheds += out.sheds;
-        scaling_json.push(format!(
-            "    {{\"workers\": {w}, \"devices\": {scale_devices}, \"wall_ms\": {}, \
-             \"steps\": {}, \"steps_per_sec\": {:.0}}}",
-            out.wall.as_millis(),
-            out.steps(),
-            out.steps_per_sec(),
-        ));
+        w.obj().field("workers", &workers).field("devices", &scale_devices);
+        w.field("wall_ms", &out.wall.as_millis()).field("steps", &out.steps());
+        w.key("steps_per_sec").fixed(out.steps_per_sec(), 0).end();
     }
-
-    let spawn_json = spawn_rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"kind\": \"{}\", \"backend\": \"{}\", \"init_us\": {:.1}, \
-                 \"pooled_us\": {:.1}, \"speedup\": {:.1}}}",
-                r.kind, r.backend, r.init_us, r.pooled_us, r.speedup
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-
-    let backends =
-        cfg.backends.iter().map(|b| format!("\"{}\"", b.name())).collect::<Vec<_>>().join(", ");
-    let json = format!(
-        "{{\n  \"schema\": \"opec-bench-fleet-v1\",\n  \"host\": {},\n  \"mix\": \"{}\",\n  \
-         \"backends\": [{backends}],\n  \"quantum_fuel\": {},\n  \"workers\": {workers},\n  \
-         \"spawn\": [\n{spawn_json}\n  ],\n  \"spawn_speedup_min\": {:.1},\n  \
-         \"ladder\": [\n{}\n  ],\n  \"worker_scaling\": [\n{}\n  ],\n  \"shed_events\": {sheds}\n}}\n",
-        host_json(),
-        cfg.mix.spec(),
-        cfg.quantum_fuel,
-        min_spawn_speedup,
-        ladder_json.join(",\n"),
-        scaling_json.join(",\n"),
-    );
-    Ok(BenchReport { json, min_spawn_speedup, sheds })
+    w.end().field("shed_events", &sheds).end();
+    Ok(BenchReport { json: w.finish() + "\n", min_spawn_speedup, sheds })
 }
 
 #[cfg(test)]
@@ -287,7 +267,7 @@ mod tests {
 
     #[test]
     fn host_json_is_wellformed() {
-        let v = opec_campaign::json::parse(&host_json()).unwrap();
+        let v = opec_obs::json::parse(&opec_obs::json::to_string(&Host, Layout::Spaced)).unwrap();
         assert!(v.get("cpus").and_then(|c| c.as_u64()).unwrap() >= 1);
         assert!(v.get("os").and_then(|o| o.as_str()).is_some());
     }

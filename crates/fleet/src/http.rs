@@ -12,10 +12,11 @@
 //! * `GET /devices` — JSON fleet status (capped device list, explicit
 //!   truncation flag).
 //! * `POST /firmware` — submit a generated-firmware plan (canonical
-//!   corpus JSON, `{"spec": …}`, or `{"seed": N}`); the plan is checked
-//!   by [`opec_oracle::well_formed`] (invariants and size caps), the
-//!   differential oracle runs it, and the verdict is returned and
-//!   retained for `GET /firmware/<id>` in a bounded ring.
+//!   corpus JSON, `{"spec": …}`, or `{"seed": N}`); the plan's decoder
+//!   range-checks every number and applies [`opec_oracle::well_formed`]
+//!   (invariants and size caps), the differential oracle runs it, and
+//!   the verdict is returned and retained for `GET /firmware/<id>` in a
+//!   bounded ring.
 //!
 //! Each connection gets one [`CONNECTION_DEADLINE`] for its socket
 //! I/O, so a slow or silent client holds the serving thread for a
@@ -34,14 +35,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use opec_campaign::json::{escape, parse, Value};
 use opec_campaign::panic_message;
+use opec_obs::json::{parse, Layout, ToJson, Value, Writer};
 use opec_obs::{prom, PromWriter};
 use opec_oracle::corpus::spec_from;
-use opec_oracle::{generate, run_opec_on, well_formed, RunBudget};
+use opec_oracle::{generate, run_opec_on, RunBudget};
 
 use crate::mix::FleetBackend;
-use crate::sched::FleetShared;
+use crate::sched::{DeviceStatus, FleetShared};
 
 /// Guest fuel for one submitted firmware's oracle run.
 const FIRMWARE_FUEL: u64 = 5_000_000;
@@ -143,29 +144,15 @@ impl ServeState {
     /// Renders the `GET /devices` JSON.
     pub fn devices_json(&self) -> String {
         let (_, sheds, devices) = self.shared.merged();
-        let truncated = devices.len() > DEVICE_LIST_CAP;
-        let list = devices
-            .iter()
-            .take(DEVICE_LIST_CAP)
-            .map(|d| {
-                format!(
-                    "{{\"id\": {}, \"kind\": \"{}\", \"backend\": \"{}\", \"steps\": {}, \
-                     \"quanta\": {}, \"resets\": {}, \"faults\": {}, \"parked_bytes\": {}}}",
-                    d.id, d.kind, d.backend, d.steps, d.quanta, d.resets, d.faults, d.parked_bytes
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!(
-            "{{\"devices\": {}, \"steps\": {}, \"quanta\": {}, \"resets\": {}, \"faults\": {}, \
-             \"sheds\": {sheds}, \"done\": {}, \"truncated\": {truncated}, \"list\": [{list}]}}",
-            devices.len(),
-            devices.iter().map(|d| d.steps).sum::<u64>(),
-            devices.iter().map(|d| d.quanta).sum::<u64>(),
-            devices.iter().map(|d| d.resets).sum::<u64>(),
-            devices.iter().map(|d| d.faults).sum::<u64>(),
-            self.shared.done.load(Ordering::Acquire),
-        )
+        let sum = |f: fn(&DeviceStatus) -> u64| devices.iter().map(f).sum::<u64>();
+        let mut w = Writer::new(Layout::Spaced);
+        w.obj().field("devices", &devices.len()).field("steps", &sum(|d| d.steps));
+        w.field("quanta", &sum(|d| d.quanta)).field("resets", &sum(|d| d.resets));
+        w.field("faults", &sum(|d| d.faults)).field("sheds", &sheds);
+        w.field("done", &self.shared.done.load(Ordering::Acquire));
+        w.field("truncated", &(devices.len() > DEVICE_LIST_CAP));
+        w.field("list", &devices[..devices.len().min(DEVICE_LIST_CAP)]).end();
+        w.finish()
     }
 
     /// Checks a submitted firmware plan, runs it under the
@@ -174,14 +161,12 @@ impl ServeState {
         let v = parse(body).map_err(|e| format!("bad JSON body: {e}"))?;
         let spec_value = v.get("spec").unwrap_or(&v);
         let spec = if spec_value.get("funcs").is_some() {
-            let spec = spec_from(spec_value)?;
-            well_formed(&spec).map_err(|e| format!("ill-formed plan: {e}"))?;
-            spec
+            spec_from(spec_value)?
         } else if let Some(seed) = v.get("seed").and_then(Value::as_u64) {
             generate(seed)
         } else {
-            return Err("body must be a plan (canonical corpus JSON), {\"spec\": …}, \
-                        or {\"seed\": N}"
+            return Err("body must be a plan (canonical corpus JSON), an object with a \"spec\" \
+                        plan, or an object with a \"seed\" number"
                 .to_string());
         };
         let backends = FleetBackend::list_from_flag(v.get("backend").and_then(Value::as_str))?;
@@ -190,24 +175,15 @@ impl ServeState {
             RunBudget { fuel: FIRMWARE_FUEL, deadline: Some(Instant::now() + FIRMWARE_TIMEOUT) };
         let verdict = run_opec_on(&spec, None, &budget, backend.dyn_backend())?;
         let mut log = self.firmware.lock().unwrap_or_else(PoisonError::into_inner);
-        let id = log.next_id();
-        let json = format!(
-            "{{\"id\": {id}, \"backend\": \"{}\", \"seed\": {}, \"clean\": {}, \
-             \"divergences\": {}, \"checks\": {}, \"probes\": {}, \"switches\": {}, \
-             \"run_error\": {}, \"halted_by_budget\": {}}}",
-            backend.name(),
-            spec.seed,
-            verdict.total_divergences == 0 && verdict.run_error.is_none(),
-            verdict.total_divergences,
-            verdict.checks,
-            verdict.probes,
-            verdict.switches,
-            match &verdict.run_error {
-                Some(e) => format!("\"{}\"", escape(e)),
-                None => "null".to_string(),
-            },
-            verdict.halt.is_some(),
-        );
+        let mut w = Writer::new(Layout::Spaced);
+        w.obj().field("id", &log.next_id()).field("backend", backend.name());
+        w.field("seed", &spec.seed);
+        w.field("clean", &(verdict.total_divergences == 0 && verdict.run_error.is_none()));
+        w.field("divergences", &verdict.total_divergences).field("checks", &verdict.checks);
+        w.field("probes", &verdict.probes).field("switches", &verdict.switches);
+        w.field("run_error", &verdict.run_error);
+        w.field("halted_by_budget", &verdict.halt.is_some()).end();
+        let json = w.finish();
         log.push(json.clone());
         Ok(json)
     }
@@ -215,6 +191,15 @@ impl ServeState {
     /// Looks up a retained verdict; `None` once it has been evicted.
     pub fn firmware_json(&self, id: u64) -> Option<String> {
         self.firmware.lock().unwrap_or_else(PoisonError::into_inner).get(id).cloned()
+    }
+}
+
+/// One `GET /devices` row.
+impl ToJson for DeviceStatus {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj().field("id", &self.id).field("kind", self.kind).field("backend", self.backend);
+        w.field("steps", &self.steps).field("quanta", &self.quanta).field("resets", &self.resets);
+        w.field("faults", &self.faults).field("parked_bytes", &self.parked_bytes).end();
     }
 }
 
@@ -233,7 +218,11 @@ impl Response {
         Response {
             status,
             content_type: "application/json",
-            body: format!("{{\"error\": \"{}\"}}\n", escape(msg)),
+            body: {
+                let mut w = Writer::new(Layout::Spaced);
+                w.obj().field("error", msg).end();
+                w.finish() + "\n"
+            },
         }
     }
 }

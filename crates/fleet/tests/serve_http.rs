@@ -9,9 +9,9 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use opec_campaign::json;
 use opec_fleet::http::CONNECTION_DEADLINE;
 use opec_fleet::{run_fleet, serve, FleetConfig, FleetShared, ServeState};
+use opec_obs::json;
 use opec_oracle::corpus::spec_json;
 use opec_oracle::generate;
 
@@ -278,5 +278,18 @@ fn malformed_requests_get_the_right_4xx() {
     huge.resize((1 << 20) + 1, b'a');
     assert_eq!(raw_status(addr, &huge), "HTTP/1.1 431 Request Header Fields Too Large");
     assert_eq!(request(addr, "GET", "/metrics", "").0, "HTTP/1.1 200 OK");
+    idle.stop();
+}
+
+#[test]
+fn a_deeply_nested_body_is_refused_and_the_daemon_keeps_serving() {
+    let idle = Idle::start();
+    // As much nesting as fits in one request: the parser refuses it at
+    // its depth cap instead of recursing a million frames deep.
+    let body = "[".repeat((1 << 20) - 128);
+    let (status, payload) = request(idle.addr, "POST", "/firmware", &body);
+    assert_eq!(status, "HTTP/1.1 400 Bad Request");
+    assert!(payload.contains("nesting depth 65 exceeds 64"), "{payload}");
+    assert_eq!(request(idle.addr, "GET", "/metrics", "").0, "HTTP/1.1 200 OK");
     idle.stop();
 }

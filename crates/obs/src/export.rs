@@ -1,57 +1,37 @@
 //! Exporters: Chrome `trace_event` JSON and metrics JSON.
 //!
-//! Both are hand-written JSON (the workspace carries no serde). The
-//! chrome format targets `chrome://tracing` / Perfetto: operation
+//! Both are written with the [`json::Writer`] in the compact layout.
+//! The chrome format targets `chrome://tracing` / Perfetto: operation
 //! activations and switch SVCs become duration (`B`/`E`) pairs on one
 //! track, everything else becomes instant (`i`) events. Timestamps are
 //! the simulated DWT cycle counts, exported as integer `ts` values —
 //! the viewer's time unit reads "µs" but means "cycles" here.
 
 use crate::event::{Access, Dir, Event, Stamped};
+use crate::json::{self, Layout, ToJson, Writer};
 use crate::metrics::{Histogram, Metrics};
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// One trace record's arguments, in output order.
+type Args<'a> = &'a [(&'a str, &'a dyn ToJson)];
 
-fn push_trace_record(
-    out: &mut String,
-    first: &mut bool,
-    ph: char,
-    name: &str,
-    cat: &str,
-    ts: u64,
-    args: &str,
-) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
-    out.push_str(&format!(
-        "\n{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{}\",\"ts\":{},\"pid\":1,\"tid\":1",
-        esc(name),
-        cat,
-        ph,
-        ts
-    ));
-    if ph == 'i' {
-        out.push_str(",\"s\":\"t\"");
+fn push_trace_record(w: &mut Writer, ts: u64, ph: &str, name: &str, cat: &str, args: Args<'_>) {
+    w.obj().field("name", name).field("cat", cat).field("ph", ph).field("ts", &ts);
+    w.field("pid", &1u8).field("tid", &1u8);
+    if ph == "i" {
+        w.field("s", "t");
     }
     if !args.is_empty() {
-        out.push_str(",\"args\":{");
-        out.push_str(args);
-        out.push('}');
+        w.key("args").obj();
+        for (key, value) in args {
+            w.field(key, *value);
+        }
+        w.end();
     }
-    out.push('}');
+    w.end();
+}
+
+fn hex(address: u32) -> String {
+    format!("{address:#010x}")
 }
 
 /// Renders a stamped event stream as Chrome `trace_event` JSON.
@@ -61,42 +41,27 @@ fn push_trace_record(
 /// [`Event::RunEnd`] closes whatever the unwind skipped, so the output
 /// always balances and loads cleanly in Perfetto even for aborted runs.
 pub fn chrome_trace(events: &[Stamped], label: &str) -> String {
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    let mut first = true;
-    push_trace_record(
-        &mut out,
-        &mut first,
-        'M',
-        "process_name",
-        "__metadata",
-        0,
-        &format!("\"name\":\"{}\"", esc(label)),
-    );
+    let mut w = Writer::new(Layout::Compact);
+    w.obj().field("displayTimeUnit", "ms").key("traceEvents").rows();
+    push_trace_record(&mut w, 0, "M", "process_name", "__metadata", &[("name", &label)]);
     // Stack of open duration-span names, innermost last.
     let mut open: Vec<String> = Vec::new();
-    let begin = |out: &mut String,
-                 first: &mut bool,
-                 open: &mut Vec<String>,
-                 name: String,
-                 cat,
-                 ts,
-                 args: &str| {
-        push_trace_record(out, first, 'B', &name, cat, ts, args);
+    let begin = |w: &mut Writer, open: &mut Vec<String>, name: String, cat, ts, args: Args<'_>| {
+        push_trace_record(w, ts, "B", &name, cat, args);
         open.push(name);
     };
     // Closes spans down to and including `name`; no-op if not open.
-    let close_to =
-        |out: &mut String, first: &mut bool, open: &mut Vec<String>, name: &str, ts: u64| {
-            if !open.iter().any(|n| n == name) {
-                return;
+    let close_to = |w: &mut Writer, open: &mut Vec<String>, name: &str, ts: u64| {
+        if !open.iter().any(|n| n == name) {
+            return;
+        }
+        while let Some(top) = open.pop() {
+            push_trace_record(w, ts, "E", &top, "", &[]);
+            if top == name {
+                break;
             }
-            while let Some(top) = open.pop() {
-                push_trace_record(out, first, 'E', &top, "", ts, "");
-                if top == name {
-                    break;
-                }
-            }
-        };
+        }
+    };
     for ev in events {
         let ts = ev.t;
         match ev.ev {
@@ -107,196 +72,222 @@ pub fn chrome_trace(events: &[Stamped], label: &str) -> String {
                 };
                 // The exit SVC runs as the operation's last act: close
                 // the op span after the SVC span, so close nothing yet.
-                let args = format!("\"from\":{from},\"to\":{to},\"entry\":{entry}");
-                begin(&mut out, &mut first, &mut open, name, "switch", ts, &args);
+                let args: Args<'_> = &[("from", &from), ("to", &to), ("entry", &entry)];
+                begin(&mut w, &mut open, name, "switch", ts, args);
             }
             Event::SwitchEnd { dir, from, to, ok, .. } => {
                 let name = match dir {
                     Dir::Enter => format!("switch enter op{to}"),
                     Dir::Exit => format!("switch exit op{from}"),
                 };
-                close_to(&mut out, &mut first, &mut open, &name, ts);
+                close_to(&mut w, &mut open, &name, ts);
                 match dir {
-                    Dir::Enter if ok => {
-                        begin(&mut out, &mut first, &mut open, format!("op{to}"), "op", ts, "");
-                    }
-                    Dir::Exit if ok => {
-                        close_to(&mut out, &mut first, &mut open, &format!("op{from}"), ts);
-                    }
+                    Dir::Enter if ok => begin(&mut w, &mut open, format!("op{to}"), "op", ts, &[]),
+                    Dir::Exit if ok => close_to(&mut w, &mut open, &format!("op{from}"), ts),
                     _ => {}
                 }
             }
             Event::FuncEnter { func } => {
-                begin(&mut out, &mut first, &mut open, format!("f{func}"), "func", ts, "");
+                begin(&mut w, &mut open, format!("f{func}"), "func", ts, &[]);
             }
             Event::FuncExit { func } => {
-                close_to(&mut out, &mut first, &mut open, &format!("f{func}"), ts);
+                close_to(&mut w, &mut open, &format!("f{func}"), ts);
             }
-            Event::VirtHit { op, address, window, slot } => {
-                let args = format!(
-                    "\"op\":{op},\"address\":\"{address:#010x}\",\"window\":{window},\"slot\":{slot}"
-                );
-                push_trace_record(&mut out, &mut first, 'i', "virt hit", "virt", ts, &args);
-            }
-            Event::VirtEvict { op, slot, old_window, new_window } => {
-                let args = format!(
-                    "\"op\":{op},\"slot\":{slot},\"old\":{old_window},\"new\":{new_window}"
-                );
-                push_trace_record(&mut out, &mut first, 'i', "virt evict", "virt", ts, &args);
-            }
-            Event::VirtMiss { op, address, write } => {
-                let args = format!("\"op\":{op},\"address\":\"{address:#010x}\",\"write\":{write}");
-                push_trace_record(&mut out, &mut first, 'i', "virt miss", "virt", ts, &args);
-            }
+            Event::VirtHit { op, address, window, slot } => push_trace_record(
+                &mut w,
+                ts,
+                "i",
+                "virt hit",
+                "virt",
+                &[("op", &op), ("address", &hex(address)), ("window", &window), ("slot", &slot)],
+            ),
+            Event::VirtEvict { op, slot, old_window, new_window } => push_trace_record(
+                &mut w,
+                ts,
+                "i",
+                "virt evict",
+                "virt",
+                &[("op", &op), ("slot", &slot), ("old", &old_window), ("new", &new_window)],
+            ),
+            Event::VirtMiss { op, address, write } => push_trace_record(
+                &mut w,
+                ts,
+                "i",
+                "virt miss",
+                "virt",
+                &[("op", &op), ("address", &hex(address)), ("write", &write)],
+            ),
             Event::Emulated { op, address, access, size, rt, rn } => {
                 let dir = match access {
                     Access::Load => "load",
                     Access::Store => "store",
                 };
-                let args = format!(
-                    "\"op\":{op},\"address\":\"{address:#010x}\",\"dir\":\"{dir}\",\"size\":{size},\"rt\":{rt},\"rn\":{rn}"
+                push_trace_record(
+                    &mut w,
+                    ts,
+                    "i",
+                    "emulated",
+                    "emul",
+                    &[
+                        ("op", &op),
+                        ("address", &hex(address)),
+                        ("dir", &dir),
+                        ("size", &size),
+                        ("rt", &rt),
+                        ("rn", &rn),
+                    ],
                 );
-                push_trace_record(&mut out, &mut first, 'i', "emulated", "emul", ts, &args);
             }
-            Event::MpuRegionWrite { slot, base, size, srd } => {
-                let args = format!(
-                    "\"slot\":{slot},\"base\":\"{base:#010x}\",\"size\":{size},\"srd\":{srd}"
-                );
-                push_trace_record(&mut out, &mut first, 'i', "mpu region", "mpu", ts, &args);
-            }
+            Event::MpuRegionWrite { slot, base, size, srd } => push_trace_record(
+                &mut w,
+                ts,
+                "i",
+                "mpu region",
+                "mpu",
+                &[("slot", &slot), ("base", &hex(base)), ("size", &size), ("srd", &srd)],
+            ),
             Event::MpuLoad { regions } => {
-                let args = format!("\"regions\":{regions}");
-                push_trace_record(&mut out, &mut first, 'i', "mpu load", "mpu", ts, &args);
+                push_trace_record(&mut w, ts, "i", "mpu load", "mpu", &[("regions", &regions)])
             }
-            Event::PmpEntryWrite { entry, addr, cfg } => {
-                let args = format!("\"entry\":{entry},\"addr\":\"{addr:#010x}\",\"cfg\":{cfg}");
-                push_trace_record(&mut out, &mut first, 'i', "pmp entry", "pmp", ts, &args);
-            }
+            Event::PmpEntryWrite { entry, addr, cfg } => push_trace_record(
+                &mut w,
+                ts,
+                "i",
+                "pmp entry",
+                "pmp",
+                &[("entry", &entry), ("addr", &hex(addr)), ("cfg", &cfg)],
+            ),
             Event::PmpLoad { entries } => {
-                let args = format!("\"entries\":{entries}");
-                push_trace_record(&mut out, &mut first, 'i', "pmp load", "pmp", ts, &args);
+                push_trace_record(&mut w, ts, "i", "pmp load", "pmp", &[("entries", &entries)])
             }
-            Event::CompartmentMode { comp, privileged } => {
-                let args = format!("\"comp\":{comp},\"privileged\":{privileged}");
-                push_trace_record(&mut out, &mut first, 'i', "compartment", "aces", ts, &args);
-            }
-            Event::Inject { kind, verdict } => {
-                let args = format!("\"kind\":\"{kind:?}\",\"verdict\":\"{verdict:?}\"");
-                push_trace_record(&mut out, &mut first, 'i', "inject", "inject", ts, &args);
-            }
-            Event::Trap { op, kind, address } => {
-                let args =
-                    format!("\"op\":{op},\"kind\":\"{kind:?}\",\"address\":\"{address:#010x}\"");
-                push_trace_record(&mut out, &mut first, 'i', "trap", "trap", ts, &args);
-            }
+            Event::CompartmentMode { comp, privileged } => push_trace_record(
+                &mut w,
+                ts,
+                "i",
+                "compartment",
+                "aces",
+                &[("comp", &comp), ("privileged", &privileged)],
+            ),
+            Event::Inject { kind, verdict } => push_trace_record(
+                &mut w,
+                ts,
+                "i",
+                "inject",
+                "inject",
+                &[("kind", &format!("{kind:?}")), ("verdict", &format!("{verdict:?}"))],
+            ),
+            Event::Trap { op, kind, address } => push_trace_record(
+                &mut w,
+                ts,
+                "i",
+                "trap",
+                "trap",
+                &[("op", &op), ("kind", &format!("{kind:?}")), ("address", &hex(address))],
+            ),
             Event::Quarantine { op } => {
                 // The unwind killed every frame of the operation: close
                 // any funcs still open inside it, then the op itself.
-                close_to(&mut out, &mut first, &mut open, &format!("op{op}"), ts);
-                let args = format!("\"op\":{op}");
-                push_trace_record(&mut out, &mut first, 'i', "quarantine", "trap", ts, &args);
+                close_to(&mut w, &mut open, &format!("op{op}"), ts);
+                push_trace_record(&mut w, ts, "i", "quarantine", "trap", &[("op", &op)]);
             }
-            Event::OracleDivergence { op, kind, layer, address } => {
-                let args = format!(
-                    "\"op\":{op},\"kind\":\"{kind:?}\",\"layer\":\"{layer:?}\",\"address\":\"{address:#010x}\""
-                );
-                push_trace_record(
-                    &mut out,
-                    &mut first,
-                    'i',
-                    "oracle divergence",
-                    "oracle",
-                    ts,
-                    &args,
-                );
-            }
-            Event::OracleProbe { op, cell, allowed } => {
-                let args = format!("\"op\":{op},\"cell\":{cell},\"allowed\":{allowed}");
-                push_trace_record(&mut out, &mut first, 'i', "oracle probe", "oracle", ts, &args);
-            }
+            Event::OracleDivergence { op, kind, layer, address } => push_trace_record(
+                &mut w,
+                ts,
+                "i",
+                "oracle divergence",
+                "oracle",
+                &[
+                    ("op", &op),
+                    ("kind", &format!("{kind:?}")),
+                    ("layer", &format!("{layer:?}")),
+                    ("address", &hex(address)),
+                ],
+            ),
+            Event::OracleProbe { op, cell, allowed } => push_trace_record(
+                &mut w,
+                ts,
+                "i",
+                "oracle probe",
+                "oracle",
+                &[("op", &op), ("cell", &cell), ("allowed", &allowed)],
+            ),
             Event::RunEnd { insts } => {
                 while let Some(top) = open.pop() {
-                    push_trace_record(&mut out, &mut first, 'E', &top, "", ts, "");
+                    push_trace_record(&mut w, ts, "E", &top, "", &[]);
                 }
-                let args = format!("\"insts\":{insts}");
-                push_trace_record(&mut out, &mut first, 'i', "run end", "run", ts, &args);
+                push_trace_record(&mut w, ts, "i", "run end", "run", &[("insts", &insts)]);
             }
-            Event::Job { kind, attempt } => {
-                let args = format!("\"kind\":\"{kind:?}\",\"attempt\":{attempt}");
-                push_trace_record(&mut out, &mut first, 'i', "job", "campaign", ts, &args);
-            }
+            Event::Job { kind, attempt } => push_trace_record(
+                &mut w,
+                ts,
+                "i",
+                "job",
+                "campaign",
+                &[("kind", &format!("{kind:?}")), ("attempt", &attempt)],
+            ),
         }
     }
     // Streams cut short by a full ring may still have open spans.
     let last_ts = events.last().map(|e| e.t).unwrap_or(0);
     while let Some(top) = open.pop() {
-        push_trace_record(&mut out, &mut first, 'E', &top, "", last_ts, "");
+        push_trace_record(&mut w, last_ts, "E", &top, "", &[]);
     }
-    out.push_str("\n]}\n");
+    w.end().end();
+    let mut out = w.finish();
+    out.push('\n');
     out
 }
 
-/// Renders a histogram as a JSON object.
-pub fn histogram_json(h: &Histogram) -> String {
-    let buckets: Vec<String> = h.buckets().iter().map(|(lo, c)| format!("[{lo},{c}]")).collect();
-    format!(
-        "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{:.2},\"p50\":{},\"p99\":{},\"buckets\":[{}]}}",
-        h.count(),
-        h.sum(),
-        h.min(),
-        h.max(),
-        h.mean(),
-        h.quantile(0.5),
-        h.quantile(0.99),
-        buckets.join(",")
-    )
+impl ToJson for Histogram {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj().field("count", &self.count()).field("sum", &self.sum());
+        w.field("min", &self.min()).field("max", &self.max());
+        w.key("mean").fixed(self.mean(), 2);
+        w.field("p50", &self.quantile(0.5)).field("p99", &self.quantile(0.99));
+        w.key("buckets").arr();
+        for (lo, count) in self.buckets() {
+            w.arr().val(&lo).val(&count).end();
+        }
+        w.end().end();
+    }
+}
+
+impl ToJson for Metrics {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj().key("ops").arr();
+        for (op, om) in self.ops() {
+            w.obj().field("op", &op).field("enters", &om.enters).field("exits", &om.exits);
+            w.field("switch_cycles", &om.switch_cycles());
+            w.field("enter_cycles", &om.enter_cycles).field("exit_cycles", &om.exit_cycles);
+            w.field("virt_hits", &om.virt_hits).field("virt_evictions", &om.virt_evictions);
+            w.field("virt_misses", &om.virt_misses);
+            w.field("emulated_loads", &om.emulated_loads);
+            w.field("emulated_stores", &om.emulated_stores);
+            w.field("insts_retired", &om.insts_retired).field("func_enters", &om.func_enters);
+            w.field("traps", &om.traps).field("quarantines", &om.quarantines);
+            w.field("priv_lifts", &om.priv_lifts).end();
+        }
+        w.end().key("totals").obj();
+        w.field("switches", &self.total_switches());
+        w.field("switch_cycles", &self.total_switch_cycles());
+        w.field("insts", &self.total_insts).field("cycles", &self.run_cycles);
+        w.field("events", &self.events_seen).field("mpu_loads", &self.mpu_loads);
+        w.field("mpu_region_writes", &self.mpu_region_writes);
+        w.field("pmp_loads", &self.pmp_loads).field("pmp_entry_writes", &self.pmp_entry_writes);
+        w.field("injections", &self.injections);
+        w.field("jobs_completed", &self.jobs_completed);
+        w.field("jobs_fuel_exhausted", &self.jobs_fuel_exhausted);
+        w.field("jobs_timed_out", &self.jobs_timed_out);
+        w.field("jobs_panicked", &self.jobs_panicked);
+        w.field("jobs_retried", &self.jobs_retried).field("jobs_resumed", &self.jobs_resumed);
+        w.end().end();
+    }
 }
 
 /// Renders a [`Metrics`] aggregate as a JSON object (one run's worth;
 /// `opec-eval report` wraps one of these per app/system pair).
 pub fn metrics_json(m: &Metrics) -> String {
-    let mut ops = Vec::new();
-    for (op, om) in m.ops() {
-        ops.push(format!(
-            "{{\"op\":{},\"enters\":{},\"exits\":{},\"switch_cycles\":{},\"enter_cycles\":{},\"exit_cycles\":{},\"virt_hits\":{},\"virt_evictions\":{},\"virt_misses\":{},\"emulated_loads\":{},\"emulated_stores\":{},\"insts_retired\":{},\"func_enters\":{},\"traps\":{},\"quarantines\":{},\"priv_lifts\":{}}}",
-            op,
-            om.enters,
-            om.exits,
-            om.switch_cycles(),
-            histogram_json(&om.enter_cycles),
-            histogram_json(&om.exit_cycles),
-            om.virt_hits,
-            om.virt_evictions,
-            om.virt_misses,
-            om.emulated_loads,
-            om.emulated_stores,
-            om.insts_retired,
-            om.func_enters,
-            om.traps,
-            om.quarantines,
-            om.priv_lifts,
-        ));
-    }
-    format!(
-        "{{\"ops\":[{}],\"totals\":{{\"switches\":{},\"switch_cycles\":{},\"insts\":{},\"cycles\":{},\"events\":{},\"mpu_loads\":{},\"mpu_region_writes\":{},\"pmp_loads\":{},\"pmp_entry_writes\":{},\"injections\":{},\"jobs_completed\":{},\"jobs_fuel_exhausted\":{},\"jobs_timed_out\":{},\"jobs_panicked\":{},\"jobs_retried\":{},\"jobs_resumed\":{}}}}}",
-        ops.join(","),
-        m.total_switches(),
-        m.total_switch_cycles(),
-        m.total_insts,
-        m.run_cycles,
-        m.events_seen,
-        m.mpu_loads,
-        m.mpu_region_writes,
-        m.pmp_loads,
-        m.pmp_entry_writes,
-        m.injections,
-        m.jobs_completed,
-        m.jobs_fuel_exhausted,
-        m.jobs_timed_out,
-        m.jobs_panicked,
-        m.jobs_retried,
-        m.jobs_resumed,
-    )
+    json::to_string(m, Layout::Compact)
 }
 
 /// Renders a stream as canonical text, one event per line — the

@@ -31,6 +31,7 @@
 
 pub mod event;
 pub mod export;
+pub mod json;
 pub mod metrics;
 pub mod prom;
 pub mod ring;
@@ -40,7 +41,7 @@ pub use event::{
     Access, Dir, Event, InjectKind, InjectVerdict, JobEventKind, OpId, OracleKind, OracleLayer,
     Stamped, TrapKind,
 };
-pub use export::{chrome_trace, event_log, histogram_json, metrics_json};
+pub use export::{chrome_trace, event_log, metrics_json};
 pub use metrics::{Histogram, Metrics, OpMetrics, Recorder};
 pub use prom::PromWriter;
 pub use ring::{RingBuffer, DEFAULT_RING_CAPACITY};

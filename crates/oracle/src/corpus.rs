@@ -18,7 +18,7 @@
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-use opec_campaign::json::{self, Value};
+use opec_obs::json::{self, DecodeError, FromJson, Layout, ToJson, Value, Writer};
 
 use crate::coverage::CoverageMap;
 use crate::gen::{FirmwareSpec, FuncSpec, GlobalSpec, Stmt};
@@ -75,10 +75,8 @@ impl Corpus {
         for path in names {
             let text = std::fs::read_to_string(&path)
                 .map_err(|e| format!("corpus entry {}: {e}", path.display()))?;
-            let entry = entry_from_json(&text)
+            let entry = json::decode::<CorpusEntry>(&text)
                 .map_err(|e| format!("corpus entry {}: {e}", path.display()))?;
-            well_formed(&entry.spec)
-                .map_err(|e| format!("corpus entry {}: ill-formed plan: {e}", path.display()))?;
             raw.push(entry);
         }
         let mut c = Corpus { dir: Some(dir.to_path_buf()), ..Corpus::default() };
@@ -125,7 +123,7 @@ impl Corpus {
             self.entries.iter().map(|e| format!("{}.json", e.key)).collect();
         for e in &self.entries {
             let path = dir.join(format!("{}.json", e.key));
-            std::fs::write(&path, entry_json(e))
+            std::fs::write(&path, json::to_string(e, Layout::Compact))
                 .map_err(|err| format!("corpus write {}: {err}", path.display()))?;
         }
         for ent in std::fs::read_dir(dir).map_err(|e| format!("corpus dir: {e}"))? {
@@ -154,174 +152,210 @@ fn minimize(mut raw: Vec<CorpusEntry>) -> Vec<CorpusEntry> {
     kept
 }
 
-// ---- JSON (hand-rolled; the workspace carries no serde) ----
+// ---- JSON: compact, canonical field order, no floats ----
 
-fn stmt_json(s: &Stmt) -> String {
-    match *s {
-        Stmt::LoadG { g, off } => format!("{{\"k\":\"loadg\",\"g\":{g},\"off\":{off}}}"),
-        Stmt::StoreG { g, off, val } => {
-            format!("{{\"k\":\"storeg\",\"g\":{g},\"off\":{off},\"val\":{val}}}")
-        }
-        Stmt::Mmio { p, reg, write } => {
-            format!("{{\"k\":\"mmio\",\"p\":{p},\"reg\":{reg},\"write\":{write}}}")
-        }
-        Stmt::Call { f } => format!("{{\"k\":\"call\",\"f\":{f}}}"),
-        Stmt::ICall { f } => format!("{{\"k\":\"icall\",\"f\":{f}}}"),
-        Stmt::Work => "{\"k\":\"work\"}".to_string(),
+impl ToJson for Stmt {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj();
+        match *self {
+            Stmt::LoadG { g, off } => w.field("k", "loadg").field("g", &g).field("off", &off),
+            Stmt::StoreG { g, off, val } => {
+                w.field("k", "storeg").field("g", &g).field("off", &off).field("val", &val)
+            }
+            Stmt::Mmio { p, reg, write } => {
+                w.field("k", "mmio").field("p", &p).field("reg", &reg).field("write", &write)
+            }
+            Stmt::Call { f } => w.field("k", "call").field("f", &f),
+            Stmt::ICall { f } => w.field("k", "icall").field("f", &f),
+            Stmt::Work => w.field("k", "work"),
+        };
+        w.end();
     }
 }
 
-/// Renders a plan as canonical JSON (stable field order, no floats).
+impl FromJson for Stmt {
+    fn from_json(v: &Value) -> Result<Stmt, DecodeError> {
+        Ok(match v.tag("k")? {
+            "loadg" => Stmt::LoadG { g: v.field("g")?, off: v.field("off")? },
+            "storeg" => {
+                Stmt::StoreG { g: v.field("g")?, off: v.field("off")?, val: v.field("val")? }
+            }
+            "mmio" => {
+                Stmt::Mmio { p: v.field("p")?, reg: v.field("reg")?, write: v.field("write")? }
+            }
+            "call" => Stmt::Call { f: v.field("f")? },
+            "icall" => Stmt::ICall { f: v.field("f")? },
+            "work" => Stmt::Work,
+            other => {
+                return Err(DecodeError::new(format!("unknown stmt kind {other:?}")).in_field("k"))
+            }
+        })
+    }
+}
+
+impl ToJson for GlobalSpec {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj().field("words", &self.words).field("clusters", &self.clusters).end();
+    }
+}
+
+impl FromJson for GlobalSpec {
+    fn from_json(v: &Value) -> Result<GlobalSpec, DecodeError> {
+        Ok(GlobalSpec { words: v.field("words")?, clusters: v.field("clusters")? })
+    }
+}
+
+impl ToJson for FuncSpec {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj().field("cluster", &self.cluster).field("entry_of", &self.entry_of);
+        w.field("body", &self.body).end();
+    }
+}
+
+impl FromJson for FuncSpec {
+    fn from_json(v: &Value) -> Result<FuncSpec, DecodeError> {
+        Ok(FuncSpec {
+            cluster: v.field("cluster")?,
+            entry_of: v.field("entry_of")?,
+            body: v.field("body")?,
+        })
+    }
+}
+
+impl ToJson for FirmwareSpec {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj().field("seed", &self.seed).field("periph_bases", &self.periph_bases);
+        w.field("globals", &self.globals).field("funcs", &self.funcs).end();
+    }
+}
+
+/// Decoding a plan also checks it with [`well_formed`]: every plan the
+/// workspace loads (corpus files, journals, `POST /firmware`) is
+/// validated here, before it can reach the compiler.
+impl FromJson for FirmwareSpec {
+    fn from_json(v: &Value) -> Result<FirmwareSpec, DecodeError> {
+        let spec = FirmwareSpec {
+            seed: v.field("seed")?,
+            periph_bases: v.field("periph_bases")?,
+            globals: v.field("globals")?,
+            funcs: v.field("funcs")?,
+        };
+        well_formed(&spec).map_err(|e| DecodeError::new(format!("ill-formed plan: {e}")))?;
+        Ok(spec)
+    }
+}
+
+/// Renders a plan as canonical JSON.
 pub fn spec_json(spec: &FirmwareSpec) -> String {
-    let periphs = spec.periph_bases.iter().map(|b| b.to_string()).collect::<Vec<_>>().join(",");
-    let globals = spec
-        .globals
-        .iter()
-        .map(|g| {
-            let cs = g.clusters.iter().map(|c| c.to_string()).collect::<Vec<_>>().join(",");
-            format!("{{\"words\":{},\"clusters\":[{cs}]}}", g.words)
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let funcs = spec
-        .funcs
-        .iter()
-        .map(|f| {
-            let body = f.body.iter().map(stmt_json).collect::<Vec<_>>().join(",");
-            let entry = match f.entry_of {
-                Some(i) => i.to_string(),
-                None => "null".to_string(),
-            };
-            format!("{{\"cluster\":{},\"entry_of\":{entry},\"body\":[{body}]}}", f.cluster)
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        "{{\"seed\":{},\"periph_bases\":[{periphs}],\"globals\":[{globals}],\"funcs\":[{funcs}]}}",
-        spec.seed
-    )
+    json::to_string(spec, Layout::Compact)
 }
 
-fn need_u64(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key).and_then(Value::as_u64).ok_or_else(|| format!("missing/invalid {key:?}"))
-}
-
-fn stmt_from(v: &Value) -> Result<Stmt, String> {
-    let k = v.get("k").and_then(Value::as_str).ok_or("stmt missing \"k\"")?;
-    Ok(match k {
-        "loadg" => Stmt::LoadG { g: need_u64(v, "g")? as usize, off: need_u64(v, "off")? as u32 },
-        "storeg" => Stmt::StoreG {
-            g: need_u64(v, "g")? as usize,
-            off: need_u64(v, "off")? as u32,
-            val: need_u64(v, "val")? as u32,
-        },
-        "mmio" => Stmt::Mmio {
-            p: need_u64(v, "p")? as usize,
-            reg: need_u64(v, "reg")? as u32,
-            write: v.get("write").and_then(Value::as_bool).ok_or("mmio missing \"write\"")?,
-        },
-        "call" => Stmt::Call { f: need_u64(v, "f")? as usize },
-        "icall" => Stmt::ICall { f: need_u64(v, "f")? as usize },
-        "work" => Stmt::Work,
-        other => return Err(format!("unknown stmt kind {other:?}")),
-    })
-}
-
-/// Parses a plan from its canonical JSON.
+/// Decodes and validates a plan: every number range-checked, then
+/// [`well_formed`].
 pub fn spec_from(v: &Value) -> Result<FirmwareSpec, String> {
-    let seed = need_u64(v, "seed")?;
-    let periph_bases = v
-        .get("periph_bases")
-        .and_then(Value::as_arr)
-        .ok_or("missing periph_bases")?
-        .iter()
-        .map(|b| b.as_u64().map(|x| x as u32).ok_or_else(|| "bad base".to_string()))
-        .collect::<Result<Vec<_>, _>>()?;
-    let globals = v
-        .get("globals")
-        .and_then(Value::as_arr)
-        .ok_or("missing globals")?
-        .iter()
-        .map(|g| {
-            let words = need_u64(g, "words")? as u32;
-            let clusters = g
-                .get("clusters")
-                .and_then(Value::as_arr)
-                .ok_or("global missing clusters")?
-                .iter()
-                .map(|c| c.as_u64().map(|x| x as usize).ok_or_else(|| "bad cluster".to_string()))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok::<_, String>(GlobalSpec { words, clusters })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let funcs = v
-        .get("funcs")
-        .and_then(Value::as_arr)
-        .ok_or("missing funcs")?
-        .iter()
-        .map(|f| {
-            let cluster = need_u64(f, "cluster")? as usize;
-            let entry_of = match f.get("entry_of") {
-                Some(Value::Null) | None => None,
-                Some(x) => Some(x.as_u64().ok_or("bad entry_of")? as usize),
-            };
-            let body = f
-                .get("body")
-                .and_then(Value::as_arr)
-                .ok_or("func missing body")?
-                .iter()
-                .map(stmt_from)
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok::<_, String>(FuncSpec { cluster, entry_of, body })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(FirmwareSpec { seed, periph_bases, globals, funcs })
+    Ok(FirmwareSpec::from_json(v)?)
 }
 
-/// Renders a corpus entry (plan + coverage + key) as canonical JSON.
-pub fn entry_json(e: &CorpusEntry) -> String {
-    let feats = e.coverage.features().map(|f| f.to_string()).collect::<Vec<_>>().join(",");
-    format!(
-        "{{\"key\":\"{}\",\"spec\":{},\"coverage\":[{feats}]}}",
-        json::escape(&e.key),
-        spec_json(&e.spec)
-    )
+impl ToJson for CorpusEntry {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj().field("key", &self.key).field("spec", &self.spec).key("coverage").arr();
+        for f in self.coverage.features() {
+            w.val(&f);
+        }
+        w.end().end();
+    }
 }
 
-/// Parses a corpus entry from its canonical JSON.
-pub fn entry_from_json(text: &str) -> Result<CorpusEntry, String> {
-    let v = json::parse(text)?;
-    let key = v.get("key").and_then(Value::as_str).ok_or("missing key")?.to_string();
-    let spec = spec_from(v.get("spec").ok_or("missing spec")?)?;
-    let feats = v
-        .get("coverage")
-        .and_then(Value::as_arr)
-        .ok_or("missing coverage")?
-        .iter()
-        .map(|f| f.as_u64().ok_or_else(|| "bad feature".to_string()))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(CorpusEntry { key, spec, coverage: CoverageMap::from_features(feats) })
+impl FromJson for CorpusEntry {
+    fn from_json(v: &Value) -> Result<CorpusEntry, DecodeError> {
+        Ok(CorpusEntry {
+            key: v.field("key")?,
+            spec: v.field("spec")?,
+            coverage: CoverageMap::from_features(v.field::<Vec<u64>>("coverage")?),
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen::generate;
+    use proptest::prelude::*;
 
     fn cov(feats: &[u64]) -> CoverageMap {
         CoverageMap::from_features(feats.iter().copied())
     }
 
-    #[test]
-    fn spec_json_round_trips() {
-        for seed in [0u64, 3, 17, 99] {
-            let spec = generate(seed);
+    /// A well-formed plan: a generated one, mutated `steps` times.
+    fn plan(seed: u64, steps: u32) -> FirmwareSpec {
+        crate::mutate_stacked(&generate(seed), seed.rotate_left(17), steps)
+    }
+
+    proptest! {
+        #[test]
+        fn specs_round_trip(seed in any::<u64>(), steps in 0u32..4) {
+            let spec = plan(seed, steps);
             let text = spec_json(&spec);
             let back = spec_from(&json::parse(&text).expect("parse")).expect("decode");
-            assert_eq!(spec, back);
+            prop_assert_eq!(&spec, &back);
             // Canonical: render(decode(render)) is byte-identical.
-            assert_eq!(text, spec_json(&back));
+            prop_assert_eq!(text, spec_json(&back));
         }
+
+        #[test]
+        fn corpus_entries_round_trip(seed in any::<u64>(), key in any::<String>(), feats in proptest::collection::vec(any::<u64>(), 0..8)) {
+            let entry = CorpusEntry { key, spec: plan(seed, 1), coverage: CoverageMap::from_features(feats) };
+            let text = json::to_string(&entry, Layout::Compact);
+            prop_assert_eq!(json::decode::<CorpusEntry>(&text), Ok(entry));
+        }
+
+        /// Byte-level edits of a valid plan: every input ends in `Ok` or
+        /// `Err`, never a panic.
+        #[test]
+        fn mangled_plans_never_panic(
+            seed in any::<u64>(),
+            edits in proptest::collection::vec((any::<usize>(), 0usize..20, any::<u8>()), 1..6),
+        ) {
+            const BYTES: &[u8] = b"0123456789-.e\"[]{},:nt";
+            let mut bytes = spec_json(&generate(seed)).into_bytes();
+            for (at, pick, random) in edits {
+                let at = at % bytes.len();
+                let b = BYTES.get(pick).copied().unwrap_or(random);
+                match pick % 3 {
+                    0 => bytes[at] = b,
+                    1 => bytes.insert(at, b),
+                    _ => {
+                        bytes.remove(at);
+                    }
+                }
+            }
+            if let Ok(v) = json::parse(&String::from_utf8_lossy(&bytes)) {
+                let _ = FirmwareSpec::from_json(&v);
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_range_numbers_are_refused_not_truncated() {
+        let text = r#"{"seed":1,"periph_bases":[],"globals":[{"words":1,"clusters":[0]}],
+            "funcs":[{"cluster":0,"entry_of":null,"body":[{"k":"loadg","g":0,"off":4294967300}]}]}"#;
+        let err = spec_from(&json::parse(text).unwrap()).unwrap_err();
+        assert_eq!(err, "funcs[0].body[0].off: 4294967300 out of range for u32");
+        let ok = text.replace("4294967300", "0");
+        assert!(spec_from(&json::parse(&ok).unwrap()).is_ok());
+        let bad_base = ok.replace("\"periph_bases\":[]", "\"periph_bases\":[4294967296]");
+        assert_eq!(
+            spec_from(&json::parse(&bad_base).unwrap()).unwrap_err(),
+            "periph_bases[0]: 4294967296 out of range for u32"
+        );
+    }
+
+    #[test]
+    fn ill_formed_plans_are_refused_on_decode() {
+        let mut spec = generate(3);
+        spec.globals[0].words = 4_000_000_000;
+        let err = spec_from(&json::parse(&spec_json(&spec)).unwrap()).unwrap_err();
+        assert_eq!(err, "ill-formed plan: global 0 has 4000000000 words, exceeds cap 256");
     }
 
     #[test]

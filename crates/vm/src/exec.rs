@@ -526,12 +526,6 @@ impl<S: Supervisor> Vm<S> {
         self.frames.iter().rev().find_map(|f| f.op_call.as_ref().map(|oc| oc.op)).unwrap_or(0)
     }
 
-    /// The name of the protection unit guarding this VM's machine
-    /// (`"armv7m-mpu"` unless the machine was built with another).
-    pub fn backend_name(&self) -> &'static str {
-        self.machine.protection().name()
-    }
-
     /// Notifies the watcher of one resolved checked access.
     fn watch_access(&mut self, kind: AccessKind, addr: u32, size: u8, allowed: bool) {
         let Some(mut w) = self.watcher.take() else { return };
