@@ -104,11 +104,13 @@ impl Journal {
     /// truncated away and counted in [`Loaded::torn_lines`]; a torn
     /// *header* means the previous run died before its first sync, so
     /// the file is reset. `kill_after` arms the crash-injection hook:
-    /// the process aborts (as if `SIGKILL`ed) right after the nth
-    /// record reaches the disk — test-only, driven by
-    /// `OPEC_CAMPAIGN_KILL_AFTER` in the nightly CI kill-and-resume
-    /// job. While armed, every append syncs so the abort point is
-    /// exact.
+    /// the process aborts (as if `SIGKILL`ed) right after the file's
+    /// nth record reaches the disk, counting the records it already
+    /// held, so a campaign that reopens its journal between batches
+    /// (`fuzz` does, once per round) still dies at the nth — test-only,
+    /// driven by `OPEC_CAMPAIGN_KILL_AFTER` in the nightly CI
+    /// kill-and-resume job. While armed, every append syncs so the
+    /// abort point is exact.
     pub fn open(
         path: &str,
         campaign: &str,
@@ -197,8 +199,9 @@ impl Journal {
                 .map_err(|e| format!("cannot write journal header to {path}: {e}"))?;
         }
 
+        let appended = records.len();
         let journal =
-            Journal { inner: Mutex::new(Inner { file, pending: 0, appended: 0, kill_after }) };
+            Journal { inner: Mutex::new(Inner { file, pending: 0, appended, kill_after }) };
         Ok((journal, Loaded { records, torn_lines }))
     }
 

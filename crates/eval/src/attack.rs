@@ -18,7 +18,6 @@
 
 use std::fmt::Write as _;
 use std::panic::{self, AssertUnwindSafe};
-use std::time::Instant;
 
 use opec_aces::{AcesRuntime, AcesStrategy};
 use opec_apps::programs::aces_comparison_apps;
@@ -32,13 +31,13 @@ use opec_core::{Armv7mBackend, Backend, CompileOutput, OpecMonitor};
 use opec_fleet::FleetBackend;
 use opec_inject::{score, Attack, AttackKind, CampaignInjector, CampaignResult, Verdict};
 use opec_obs::json::{self, DecodeError, FromJson, Layout, ToJson, Value, Writer};
-use opec_oracle::{AcesBuild, Firmware, OpecBuild, System};
+use opec_oracle::{AcesBuild, Firmware, OpecBuild, RunBudget, System};
 use opec_vm::{
     InjectAction, LoadedImage, NullSupervisor, OpId, Supervisor, Vm, VmError, VmSnapshot,
 };
 
 use crate::check::{backend_segment, job_slug};
-use crate::engine::{EngineOpts, RunLimits};
+use crate::engine::{job_budget, EngineOpts};
 use crate::runs::FUEL;
 use crate::table::TextTable;
 
@@ -146,8 +145,8 @@ pub fn attack_matrix_with(
             repro.obj().field("app", app.name).field("seeds", &seeds);
             repro.field("aces", &with_aces).field("backend", sel.name()).end();
             Job::new(id, repro.finish(), move |ctx| {
-                let limits = RunLimits::from_ctx(ctx);
-                JobResult::Done(cells_json(&app_cells(app, seeds, with_aces, &limits, sel)))
+                let budget = job_budget(ctx);
+                JobResult::Done(cells_json(&app_cells(app, seeds, with_aces, budget, sel)))
             })
         })
         .collect();
@@ -233,7 +232,7 @@ fn app_cells(
     app: &App,
     seeds: u64,
     with_aces: bool,
-    limits: &RunLimits,
+    budget: RunBudget,
     sel: FleetBackend,
 ) -> Vec<Cell> {
     let fw = Firmware::from(app);
@@ -268,13 +267,13 @@ fn app_cells(
             let verdicts = (0..seeds)
                 .map(|seed| {
                     let outcome = panic::catch_unwind(AssertUnwindSafe(|| match config {
-                        System::Opec => run_opec_cell(app, &art, &mut opec, kind, seed, limits),
+                        System::Opec => run_opec_cell(app, &art, &mut opec, kind, seed, budget),
                         System::Aces => {
                             let runner = aces.as_mut().expect("ACES requested");
-                            run_aces_cell(app, &art, runner, kind, seed, limits)
+                            run_aces_cell(app, &art, runner, kind, seed, budget)
                         }
                         System::Baseline => {
-                            run_baseline_cell(app, &art, &mut baseline, kind, seed, limits)
+                            run_baseline_cell(app, &art, &mut baseline, kind, seed, budget)
                         }
                     }));
                     let verdict = match outcome {
@@ -340,24 +339,24 @@ impl<S: Supervisor + Clone> Runner<S> {
     }
 
     /// Restores the post-boot snapshot, installs the campaign's
-    /// injector, arms the watchdog, and drives one run to a verdict.
+    /// injector, arms the watchdog, and drives one run to a verdict
+    /// within `budget`.
     fn campaign(
         &mut self,
         attack: Attack,
         seed: u64,
         app: &'static str,
         kind: AttackKind,
-        fuel: u64,
-        deadline: Option<Instant>,
+        budget: RunBudget,
     ) -> Verdict {
         match self {
             Runner::BootFailed(result) => score(kind, &[], result),
             Runner::Ready { vm, snap } => {
                 vm.restore(snap);
-                vm.set_deadline(deadline);
+                vm.set_deadline(budget.deadline);
                 vm.set_injector(Some(Box::new(CampaignInjector::new(attack, seed, app))));
                 debug_assert_eq!(vm.boots(), 1, "per-app init must run exactly once");
-                let result = match vm.resume(fuel) {
+                let result = match vm.resume(budget.fuel) {
                     Ok(_) => CampaignResult::Completed,
                     Err(VmError::Aborted { trap, .. }) => CampaignResult::Aborted(trap),
                     // Budget stops are supervision outcomes, not host
@@ -390,7 +389,7 @@ fn run_opec_cell(
     runner: &mut Result<Runner<OpecMonitor>, String>,
     kind: AttackKind,
     seed: u64,
-    limits: &RunLimits,
+    budget: RunBudget,
 ) -> Result<Verdict, String> {
     let build = art.opec.as_ref().map_err(Clone::clone)?;
     let Some(attack) = opec_attack(kind, &build.out, &art.devices) else {
@@ -401,11 +400,11 @@ fn run_opec_cell(
     // sync-out, and an armed switch corruption at the next operation
     // entry — either may be anywhere in the workload, so those get the
     // full budget. Everything else resolves at the fire moment.
-    let fuel = limits.capped(match kind {
+    let budget = budget.capped(match kind {
         AttackKind::ShadowBitFlip | AttackKind::SvcCorrupt => FUEL,
         _ => SHORT_FUEL,
     });
-    let mut verdict = runner.campaign(attack.clone(), seed, app.name, kind, fuel, limits.deadline);
+    let mut verdict = runner.campaign(attack.clone(), seed, app.name, kind, budget);
     // A flipped shadow bit the operation legitimately overwrote before
     // its next sync-out was masked, not contained and not escaped — the
     // standard fault-injection "benign fault" outcome.
@@ -426,15 +425,15 @@ fn run_aces_cell(
     runner: &mut Result<Runner<AcesRuntime>, String>,
     kind: AttackKind,
     seed: u64,
-    limits: &RunLimits,
+    budget: RunBudget,
 ) -> Result<Verdict, String> {
     let build = art.aces.as_ref().expect("ACES requested").as_ref().map_err(Clone::clone)?;
     let Some(attack) = aces_attack(kind, &build.out.image, build.out.stack, &art.devices) else {
         return Ok(Verdict::NotApplicable);
     };
     let runner = runner.as_mut().map_err(|e| e.clone())?;
-    let fuel = limits.capped(if kind == AttackKind::SvcCorrupt { FUEL } else { SHORT_FUEL });
-    Ok(runner.campaign(attack, seed, app.name, kind, fuel, limits.deadline))
+    let budget = budget.capped(if kind == AttackKind::SvcCorrupt { FUEL } else { SHORT_FUEL });
+    Ok(runner.campaign(attack, seed, app.name, kind, budget))
 }
 
 fn run_baseline_cell(
@@ -443,14 +442,14 @@ fn run_baseline_cell(
     runner: &mut Result<Runner<NullSupervisor>, String>,
     kind: AttackKind,
     seed: u64,
-    limits: &RunLimits,
+    budget: RunBudget,
 ) -> Result<Verdict, String> {
     let image = art.baseline.as_ref().map_err(Clone::clone)?;
     let Some(attack) = baseline_attack(kind, image, &art.devices) else {
         return Ok(Verdict::NotApplicable);
     };
     let runner = runner.as_mut().map_err(|e| e.clone())?;
-    Ok(runner.campaign(attack, seed, app.name, kind, limits.capped(SHORT_FUEL), limits.deadline))
+    Ok(runner.campaign(attack, seed, app.name, kind, budget.capped(SHORT_FUEL)))
 }
 
 // ---------------------------------------------------------------------

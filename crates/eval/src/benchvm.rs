@@ -14,7 +14,7 @@
 //!   way (restore a copy-on-write snapshot per seed), plus the raw
 //!   restore latency;
 //! * `"lockstep"` — the cached-vs-plain equivalence sweep
-//!   ([`crate::check::run_lockstep`]) folded to a divergence count, so
+//!   ([`crate::check::run_lockstep_campaign`]) folded to a divergence count, so
 //!   CI can fail the benchmark if the fast path ever stops being a
 //!   pure optimisation.
 
@@ -27,7 +27,7 @@ use opec_apps::App;
 use opec_armv7m::{Board, Machine};
 use opec_core::Armv7mBackend;
 use opec_ir::{BinOp, Module, ModuleBuilder, Operand, Ty};
-use opec_oracle::Firmware;
+use opec_oracle::{Firmware, RunRequest, System};
 use opec_vm::{link_baseline, ExecMode, Supervisor, Vm, VmBuilder};
 
 use opec_campaign::CampaignReport;
@@ -37,7 +37,7 @@ use opec_obs::json::{Layout, ToJson, Writer};
 
 use crate::check::run_lockstep_campaign;
 use crate::engine::EngineOpts;
-use crate::runs::FUEL;
+use crate::runs::{EVAL_BUDGET, FUEL};
 
 /// Loop iterations of the ALU microbenchmark (~40 instructions each).
 const MICRO_ITERS: u32 = 100_000;
@@ -204,14 +204,10 @@ fn switch_costs(sel: FleetBackend) -> Vec<SwitchCost> {
         .iter()
         .map(|app| {
             let fw = Firmware::from(app);
-            let build = fw.opec().unwrap_or_else(|e| panic!("{} compile: {e}", app.name));
-            let backend = sel.dyn_backend();
-            let mut vm = Vm::builder(fw.machine(&*backend), build.out.image.clone())
-                .supervisor(build.monitor(backend))
-                .build()
-                .unwrap_or_else(|e| panic!("{} image: {e}", app.name));
-            let _ = vm.run(FUEL);
-            let stats = &vm.supervisor.stats;
+            let request =
+                RunRequest::new(&fw, System::Opec).on(sel.dyn_backend()).budget(EVAL_BUDGET);
+            let run = request.run().unwrap_or_else(|e| panic!("{} OPEC run: {e}", app.name));
+            let stats = run.monitor.expect("an OPEC run has monitor counters");
             SwitchCost { app: app.name, switches: stats.switches, prot_writes: stats.prot_writes }
         })
         .collect()

@@ -77,7 +77,7 @@ impl EvalCache {
         if let Some(v) = self.aces.lock().unwrap().get(&key) {
             return Arc::clone(v);
         }
-        let v = Arc::new(runs::run_aces(app, strategy));
+        let v = Arc::new(runs::run_aces_strategy(app, strategy));
         self.aces.lock().unwrap().insert(key, Arc::clone(&v));
         v
     }

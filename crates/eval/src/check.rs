@@ -22,25 +22,21 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 use std::sync::Arc;
 
-use opec_aces::AcesStrategy;
 use opec_apps::programs::{aces_comparison_apps, all_apps};
 use opec_apps::App;
-use opec_campaign::{
-    run_campaign, CampaignOpts, CampaignReport, Job, JobOutcome, JobResult, PanicPayload,
-};
-use opec_core::Armv7mBackend;
+use opec_campaign::{run_campaign, CampaignReport, Job, JobOutcome, JobResult, PanicPayload};
 use opec_fleet::FleetBackend;
 use opec_ir::{GlobalId, Module};
 use opec_obs::export::{event_log, metrics_json};
 use opec_obs::json::{self, DecodeError, FromJson, Layout, ToJson, Value, Writer};
-use opec_obs::{Obs, OpId, Recorder};
+use opec_obs::{OpId, Recorder};
 use opec_oracle::{
-    describe, divergence_key, generate, run_aces_with, run_end, run_opec_on, shadow, shrink,
-    Corpus, Firmware, FirmwareSpec, RunBudget, RunHalt, Verdict, GEN_FUEL,
+    describe, divergence_key, generate, shrink, BuildOutput, Corpus, Firmware, FirmwareSpec,
+    RunBudget, RunHalt, RunRecord, RunRequest, System, Verdict, GEN_FUEL,
 };
-use opec_vm::{ExecMode, RunOutcome, Supervisor, Trace, Vm, VmBuilder, VmStats};
+use opec_vm::{ExecMode, Trace, VmStats};
 
-use crate::engine::{EngineOpts, RunLimits};
+use crate::engine::{job_budget, EngineOpts};
 use crate::metrics::{et_by_task, pt_of_compartments};
 use crate::runs::{AppEval, OpecRun};
 
@@ -335,9 +331,7 @@ fn et(used: u64, needed: u64) -> f64 {
 /// its budget has failed its check, so the budget stop is reported as
 /// the case's run error as well as the job's outcome.
 fn app_case(app: &App, system: &'static str, v: &Verdict) -> CaseResult {
-    let mut case = verdict_case(app.name.to_string(), system, v);
-    case.run_error = v.halt.map(|h| h.to_string()).or(case.run_error);
-    case
+    CaseResult { run_error: v.finished().err(), ..verdict_case(app.name.to_string(), system, v) }
 }
 
 fn verdict_case(name: String, system: &'static str, v: &Verdict) -> CaseResult {
@@ -360,27 +354,24 @@ fn verdict_case(name: String, system: &'static str, v: &Verdict) -> CaseResult {
 /// [`et_by_task`].
 pub fn check_opec_app(
     app: &App,
-    limits: &RunLimits,
+    budget: RunBudget,
     sel: FleetBackend,
 ) -> (CaseResult, Vec<CrossCheck>, Option<RunHalt>) {
-    let backend = sel.dyn_backend();
     let fw = Firmware::from(app);
-    let build = fw.opec().unwrap_or_else(|e| panic!("{} compile: {e}", app.name));
-    let matrix = build.matrix(&*backend);
     let trace = Rc::new(RefCell::new(Trace::new()));
-    let obs = Obs::single(trace.clone());
-    let (watcher, handle) = shadow(matrix.clone(), obs.clone());
-    let mut vm = Vm::builder(fw.machine(&*backend), build.out.image.clone())
-        .supervisor(build.monitor(backend))
-        .obs(obs)
-        .watcher(watcher)
-        .build()
-        .expect("opec vm");
-    vm.set_deadline(limits.deadline);
-    let result = vm.run(limits.fuel);
-    let cycles = result.as_ref().map_or(0, RunOutcome::cycles);
-    let (halt, run_error) = run_end(&fw, &mut vm, result);
-    let v = Verdict::new(handle.take(), halt, run_error);
+    let rec = RunRequest::new(&fw, System::Opec)
+        .on(sel.dyn_backend())
+        .budget(budget)
+        .oracle()
+        .sink(trace.clone())
+        .run()
+        .unwrap_or_else(|e| panic!("{} OPEC run: {e}", app.name));
+    let cycles = rec.cycles();
+    let RunRecord { verdict: v, monitor, build, matrix, .. } = rec;
+    let (Some(monitor), BuildOutput::Opec(compile), Some(matrix)) = (monitor, build, matrix) else {
+        unreachable!("an OPEC run with the oracle attached")
+    };
+    let halt = v.halt;
     let case = app_case(app, "OPEC", &v);
 
     // The evaluation's view of the same run, for the ET cross-check.
@@ -392,11 +383,11 @@ pub fn check_opec_app(
         base_sram: 0,
         opec: Arc::new(OpecRun {
             cycles,
-            flash_used: build.out.image.flash_used,
-            sram_used: build.out.image.sram_used,
-            trace: trace.borrow().clone(),
-            monitor: vm.supervisor.stats,
-            compile: build.out,
+            flash_used: compile.image.flash_used,
+            sram_used: compile.image.sram_used,
+            trace: trace.take(),
+            monitor,
+            compile,
         }),
         aces: Vec::new(),
     };
@@ -458,12 +449,16 @@ pub fn check_opec_app(
 /// the oracle attached and cross-checks PT: Equation 1 recomputed from
 /// the matrix's granted/needed byte counts against
 /// [`pt_of_compartments`].
-fn check_aces_app(app: &App, limits: &RunLimits) -> (CaseResult, Vec<CrossCheck>, Option<RunHalt>) {
+fn check_aces_app(app: &App, budget: RunBudget) -> (CaseResult, Vec<CrossCheck>, Option<RunHalt>) {
     let fw = Firmware::from(app);
-    let build =
-        fw.aces(AcesStrategy::Filename).unwrap_or_else(|e| panic!("{} ACES build: {e}", app.name));
-    let matrix = build.matrix();
-    let out = &build.out;
+    let rec = RunRequest::new(&fw, System::Aces)
+        .budget(budget)
+        .oracle()
+        .run()
+        .unwrap_or_else(|e| panic!("{} ACES run: {e}", app.name));
+    let (BuildOutput::Aces(out), Some(matrix)) = (&rec.build, &rec.matrix) else {
+        unreachable!("an ACES run with the oracle attached")
+    };
     let reference = pt_of_compartments(&out.image.module, &out.comps, &out.regions);
     let matrix_pt: Vec<f64> = matrix
         .ops
@@ -487,10 +482,7 @@ fn check_aces_app(app: &App, limits: &RunLimits) -> (CaseResult, Vec<CrossCheck>
             format!("matrix {matrix_pt:?} vs report {reference:?}")
         },
     }];
-
-    let budget = RunBudget { fuel: limits.fuel, deadline: limits.deadline };
-    let v = run_aces_with(&fw, &budget).unwrap_or_else(|e| panic!("{} ACES run: {e}", app.name));
-    (app_case(app, "ACES", &v), crosschecks, v.halt)
+    (app_case(app, "ACES", &rec.verdict), crosschecks, rec.verdict.halt)
 }
 
 /// The plan shrinking should start from: the divergent input itself,
@@ -518,80 +510,59 @@ fn shrink_start<'a>(
     spec
 }
 
-/// One generated firmware under the OPEC stack on `sel`, within
-/// `budget`.
-fn gen_opec_case(
+/// The report's name for an isolation system.
+fn system_label(system: System) -> &'static str {
+    match system {
+        System::Opec => "OPEC",
+        System::Aces => "ACES",
+        System::Baseline => "baseline",
+    }
+}
+
+/// One generated firmware under `system` on `sel`, within `budget`.
+/// Shrinking starts from the smaller of the plan and its `corpus`
+/// match (see [`shrink_start`]).
+fn gen_case(
     spec: &FirmwareSpec,
     seed: u64,
+    system: System,
     do_shrink: bool,
-    budget: &RunBudget,
+    budget: RunBudget,
     sel: FleetBackend,
     corpus: Option<&Corpus>,
 ) -> (CaseResult, Option<RunHalt>) {
-    match run_opec_on(spec, None, budget, sel.dyn_backend()) {
+    let name = format!("gen[{seed}]");
+    let label = system_label(system);
+    let verdict = |s: &FirmwareSpec| {
+        let fw = Firmware::from(s);
+        let request = RunRequest::new(&fw, system).on(sel.dyn_backend()).budget(budget);
+        request.oracle().run().map(|r| r.verdict)
+    };
+    match verdict(spec) {
         Ok(v) => {
-            let mut case = verdict_case(format!("gen[{seed}]"), "OPEC", &v);
+            let mut case = verdict_case(name, label, &v);
             if v.halt.is_some() {
                 case.note = Some("stopped by budget".to_string());
             }
             if !v.clean() && do_shrink {
-                let mut diverges = |s: &FirmwareSpec| {
-                    run_opec_on(s, None, budget, sel.dyn_backend())
-                        .is_ok_and(|v| v.total_divergences > 0)
-                };
+                let mut diverges =
+                    |s: &FirmwareSpec| verdict(s).is_ok_and(|v| v.total_divergences > 0);
                 let start = shrink_start(spec, &v, corpus, &mut diverges);
                 let small = shrink(start, &mut diverges, SHRINK_BUDGET);
                 case.shrunk = Some(describe(&small));
             }
             (case, v.halt)
         }
-        Err(e) => (
-            CaseResult {
-                name: format!("gen[{seed}]"),
-                system: "OPEC",
-                run_error: Some(e),
-                ..Default::default()
-            },
-            None,
-        ),
-    }
-}
-
-/// One generated firmware under the ACES stack, within `budget`.
-fn gen_aces_case(
-    spec: &FirmwareSpec,
-    seed: u64,
-    do_shrink: bool,
-    budget: &RunBudget,
-) -> (CaseResult, Option<RunHalt>) {
-    match run_aces_with(&spec.into(), budget) {
-        Ok(v) => {
-            let mut case = verdict_case(format!("gen[{seed}]"), "ACES", &v);
-            if v.halt.is_some() {
-                case.note = Some("stopped by budget".to_string());
-            }
-            if !v.clean() && do_shrink {
-                let small = shrink(
-                    spec,
-                    |s| run_aces_with(&s.into(), budget).is_ok_and(|v| v.total_divergences > 0),
-                    SHRINK_BUDGET,
-                );
-                case.shrunk = Some(describe(&small));
-            }
-            (case, v.halt)
-        }
         // ACES can reject a plan outright (group-region overflow on
         // MPU hardware limits) — a scalability property, not a
-        // divergence.
-        Err(e) => (
-            CaseResult {
-                name: format!("gen[{seed}]"),
-                system: "ACES",
-                note: Some(format!("build skipped: {e}")),
-                ..Default::default()
-            },
-            None,
-        ),
+        // divergence. OPEC must build every plan.
+        Err(e) if system == System::Aces => {
+            let note = Some(format!("build skipped: {e}"));
+            (CaseResult { name, system: label, note, ..Default::default() }, None)
+        }
+        Err(e) => {
+            (CaseResult { name, system: label, run_error: Some(e), ..Default::default() }, None)
+        }
     }
 }
 
@@ -625,13 +596,6 @@ fn aces_skip_case(name: String, sel: FleetBackend) -> CaseResult {
     }
 }
 
-/// The oracle's generated-firmware budget for one job attempt: the
-/// site default [`GEN_FUEL`] capped by the campaign budget, plus the
-/// attempt's watchdog deadline.
-pub(crate) fn gen_budget(limits: &RunLimits) -> RunBudget {
-    RunBudget { fuel: limits.capped(GEN_FUEL), deadline: limits.deadline }
-}
-
 /// What kind of subject a check job runs — kept alongside the job list
 /// so aggregation can synthesise the right case shape for a job that
 /// panicked on both attempts.
@@ -652,15 +616,6 @@ enum CheckJob<'a> {
 pub fn run_check_campaign(
     opts: &CheckOptions,
     engine: &EngineOpts,
-) -> Result<(CheckReport, CampaignReport), String> {
-    run_check_with(opts, &engine.campaign_opts("check"))
-}
-
-/// [`run_check_campaign`] under explicit campaign options (the test
-/// entry point: fault-injection hooks set directly, no env).
-pub fn run_check_with(
-    opts: &CheckOptions,
-    copts: &CampaignOpts,
 ) -> Result<(CheckReport, CampaignReport), String> {
     let sel = opts.backend;
     let seg = backend_segment(sel);
@@ -688,8 +643,7 @@ pub fn run_check_with(
                 format!("check/{seg}app/{}/opec", job_slug(app.name)),
                 app_repro(app, "OPEC", sel),
                 move |ctx| {
-                    let limits = RunLimits::from_ctx(ctx);
-                    let (case, crosschecks, halt) = check_opec_app(app, &limits, sel);
+                    let (case, crosschecks, halt) = check_opec_app(app, job_budget(ctx), sel);
                     job_result(halt, app_payload(&case, &crosschecks))
                 },
             ),
@@ -697,8 +651,7 @@ pub fn run_check_with(
                 format!("check/{seg}app/{}/aces", job_slug(app.name)),
                 app_repro(app, "ACES", sel),
                 move |ctx| {
-                    let limits = RunLimits::from_ctx(ctx);
-                    let (case, crosschecks, halt) = check_aces_app(app, &limits);
+                    let (case, crosschecks, halt) = check_aces_app(app, job_budget(ctx));
                     job_result(halt, app_payload(&case, &crosschecks))
                 },
             ),
@@ -711,16 +664,17 @@ pub fn run_check_with(
                     w.finish()
                 },
                 move |ctx| {
-                    let budget = gen_budget(&RunLimits::from_ctx(ctx));
+                    let budget = job_budget(ctx).capped(GEN_FUEL);
                     let spec = generate(seed);
                     let (opec, mut halt) =
-                        gen_opec_case(&spec, seed, do_shrink, &budget, sel, corpus);
+                        gen_case(&spec, seed, System::Opec, do_shrink, budget, sel, corpus);
                     // The payload: the OPEC case, plus the ACES case on
                     // a backend with an ACES port.
                     let mut w = Writer::new(Layout::Compact);
                     w.obj().field("opec", &opec);
                     if sel.has_aces() {
-                        let (aces, h2) = gen_aces_case(&spec, seed, do_shrink, &budget);
+                        let (aces, h2) =
+                            gen_case(&spec, seed, System::Aces, do_shrink, budget, sel, None);
                         w.field("aces", &aces);
                         halt = halt.max(h2);
                     }
@@ -730,7 +684,7 @@ pub fn run_check_with(
             ),
         })
         .collect();
-    let report = run_campaign(copts, &jobs)?;
+    let report = run_campaign(&engine.campaign_opts("check"), &jobs)?;
 
     // Aggregate from the records alone, in job-definition order: the
     // same payload bytes produce the same report whether the job ran
@@ -798,7 +752,7 @@ struct LockRun {
     switches: u64,
     /// VM execution counters.
     stats: VmStats,
-    /// How the run ended, rendered (outcome or error).
+    /// How the run ended, rendered (outcome, budget stop and error).
     outcome: String,
 }
 
@@ -806,31 +760,31 @@ struct LockRun {
 /// reports whether its budget stopped it (both modes burn identical
 /// fuel, so under a tight `--fuel` the two sides halt at the same
 /// instruction and still compare equal).
-fn lock_run<S: Supervisor>(
-    vm: VmBuilder<S>,
+fn lock_run(
+    fw: &Firmware<'_>,
+    system: System,
+    sel: FleetBackend,
     mode: ExecMode,
     fuel: u64,
-) -> (LockRun, Option<RunHalt>) {
+) -> Result<(LockRun, Option<RunHalt>), String> {
     let rec = Rc::new(RefCell::new(Recorder::with_capacity(LOCKSTEP_RING).with_funcs()));
-    let mut vm = vm.exec_mode(mode).obs(Obs::single(rec.clone())).build().expect("lockstep image");
-    let result = vm.run(fuel);
-    let halt = result.as_ref().err().and_then(RunHalt::of);
-    let outcome = match result {
-        Ok(o) => format!("{o:?}"),
-        Err(e) => format!("error: {e}"),
-    };
-    let stats = vm.stats;
-    drop(vm);
+    let run = RunRequest::new(fw, system)
+        .on(sel.dyn_backend())
+        .budget(RunBudget { fuel, deadline: None })
+        .mode(mode)
+        .sink(rec.clone())
+        .run()?;
     let rec = Rc::try_unwrap(rec).expect("sole recorder handle").into_inner();
-    let run = LockRun {
+    let v = &run.verdict;
+    let lock = LockRun {
         log: event_log(&rec.ring.to_vec()),
         metrics: metrics_json(&rec.metrics),
         total_events: rec.ring.total(),
         switches: rec.metrics.total_switches(),
-        stats,
-        outcome,
+        stats: run.stats,
+        outcome: format!("{:?}, halt {:?}, error {:?}", run.outcome, v.halt, v.run_error),
     };
-    (run, halt)
+    Ok((lock, v.halt))
 }
 
 /// Folds the two sides into a [`CaseResult`]; every difference is a
@@ -893,42 +847,22 @@ fn lock_error(name: String, system: &'static str, error: String) -> CaseResult {
     }
 }
 
-/// Runs one subject under both execution modes, each on a VM from
-/// `vm`, and compares the two sides.
-fn lockstep<S: Supervisor>(
-    name: String,
-    system: &'static str,
+/// Runs one subject under `system` in both execution modes and
+/// compares the two sides.
+fn lockstep(
+    fw: &Firmware<'_>,
+    system: System,
+    sel: FleetBackend,
     fuel: u64,
-    vm: impl Fn() -> VmBuilder<S>,
 ) -> (CaseResult, Option<RunHalt>) {
-    let (plain, h1) = lock_run(vm(), ExecMode::Plain, fuel);
-    let (decoded, h2) = lock_run(vm(), ExecMode::Decoded, fuel);
-    (compare_lock(name, system, &plain, &decoded), h1.max(h2))
-}
-
-/// Lockstep for one firmware under OPEC on `sel`.
-fn lockstep_opec(fw: &Firmware<'_>, fuel: u64, sel: FleetBackend) -> (CaseResult, Option<RunHalt>) {
-    let build = match fw.opec() {
-        Ok(build) => build,
-        Err(e) => return (lock_error(fw.name(), "OPEC", format!("compile: {e}")), None),
-    };
-    let backend = sel.dyn_backend();
-    lockstep(fw.name(), "OPEC", fuel, || {
-        Vm::builder(fw.machine(&*backend), build.out.image.clone())
-            .supervisor(build.monitor(Arc::clone(&backend)))
-    })
-}
-
-/// Lockstep for one application under ACES.
-fn lockstep_aces(app: &App, fuel: u64) -> (CaseResult, Option<RunHalt>) {
-    let fw = Firmware::from(app);
-    let build = match fw.aces(AcesStrategy::Filename) {
-        Ok(build) => build,
-        Err(e) => return (lock_error(fw.name(), "ACES", format!("ACES build: {e}")), None),
-    };
-    lockstep(fw.name(), "ACES", fuel, || {
-        Vm::builder(fw.machine(&Armv7mBackend), build.out.image.clone()).supervisor(build.runtime())
-    })
+    let run = |mode| lock_run(fw, system, sel, mode, fuel);
+    let label = system_label(system);
+    match run(ExecMode::Plain).and_then(|plain| Ok((plain, run(ExecMode::Decoded)?))) {
+        Ok(((plain, h1), (decoded, h2))) => {
+            (compare_lock(fw.name(), label, &plain, &decoded), h1.max(h2))
+        }
+        Err(e) => (lock_error(fw.name(), label, e), None),
+    }
 }
 
 /// Runs every subject twice — plain interpreter vs the pre-decoded
@@ -939,12 +873,7 @@ fn lockstep_aces(app: &App, fuel: u64) -> (CaseResult, Option<RunHalt>) {
 ///
 /// Subjects: the seven paper applications under OPEC, the five
 /// comparison applications under ACES, and `seeds` generated firmwares
-/// under OPEC.
-pub fn run_lockstep(seeds: u64, sel: FleetBackend) -> CheckReport {
-    run_lockstep_campaign(seeds, &EngineOpts::default(), sel).expect("lockstep campaign").0
-}
-
-/// [`run_lockstep`] as a supervised campaign: one job per subject and
+/// under OPEC, as a supervised campaign with one job per subject and
 /// mode pair. The watchdog stays disarmed (see
 /// [`EngineOpts::lockstep_opts`]) — wall-clock differs between exec
 /// modes, and a deadline would manufacture divergence — but the fuel
@@ -953,15 +882,6 @@ pub fn run_lockstep(seeds: u64, sel: FleetBackend) -> CheckReport {
 pub fn run_lockstep_campaign(
     seeds: u64,
     engine: &EngineOpts,
-    sel: FleetBackend,
-) -> Result<(CheckReport, CampaignReport), String> {
-    run_lockstep_with(seeds, &engine.lockstep_opts("lockstep"), sel)
-}
-
-/// [`run_lockstep_campaign`] under explicit campaign options.
-pub fn run_lockstep_with(
-    seeds: u64,
-    copts: &CampaignOpts,
     sel: FleetBackend,
 ) -> Result<(CheckReport, CampaignReport), String> {
     let seg = backend_segment(sel);
@@ -981,7 +901,7 @@ pub fn run_lockstep_with(
                 format!("lockstep/{seg}app/{}/opec", job_slug(app.name)),
                 app_repro(app, "OPEC", sel),
                 move |ctx| {
-                    let (case, halt) = lockstep_opec(&Firmware::from(app), ctx.fuel, sel);
+                    let (case, halt) = lockstep(&Firmware::from(app), System::Opec, sel, ctx.fuel);
                     job_result(halt, json::to_string(&case, Layout::Compact))
                 },
             ),
@@ -989,7 +909,7 @@ pub fn run_lockstep_with(
                 format!("lockstep/{seg}app/{}/aces", job_slug(app.name)),
                 app_repro(app, "ACES", sel),
                 move |ctx| {
-                    let (case, halt) = lockstep_aces(app, ctx.fuel);
+                    let (case, halt) = lockstep(&Firmware::from(app), System::Aces, sel, ctx.fuel);
                     job_result(halt, json::to_string(&case, Layout::Compact))
                 },
             ),
@@ -1002,13 +922,14 @@ pub fn run_lockstep_with(
                 },
                 move |ctx| {
                     let spec = generate(seed);
-                    let (case, halt) = lockstep_opec(&Firmware::from(&spec), ctx.fuel, sel);
+                    let (case, halt) =
+                        lockstep(&Firmware::from(&spec), System::Opec, sel, ctx.fuel);
                     job_result(halt, json::to_string(&case, Layout::Compact))
                 },
             ),
         })
         .collect();
-    let report = run_campaign(copts, &jobs)?;
+    let report = run_campaign(&engine.lockstep_opts("lockstep"), &jobs)?;
 
     let mut out = CheckReport { backend: sel.name(), ..CheckReport::default() };
     for (rec, &kind) in report.records.iter().zip(&kinds) {
@@ -1030,20 +951,19 @@ pub fn run_lockstep_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runs::FUEL;
+    use crate::runs::{EVAL_BUDGET, FUEL};
     use proptest::prelude::*;
 
     #[test]
     fn pinlock_is_divergence_free_with_agreeing_metrics() {
         let app = opec_apps::programs::pinlock::app();
-        let limits = RunLimits::unsupervised();
-        let (case, crosschecks, halt) = check_opec_app(&app, &limits, FleetBackend::Armv7m);
+        let (case, crosschecks, halt) = check_opec_app(&app, EVAL_BUDGET, FleetBackend::Armv7m);
         assert!(!case.failed(), "{:?}", case);
         assert!(case.checks > 0 && case.probes > 0 && case.switches > 0);
         assert!(crosschecks.iter().all(|x| x.ok), "{crosschecks:?}");
         assert_eq!(halt, None);
 
-        let (case, crosschecks, halt) = check_aces_app(&app, &limits);
+        let (case, crosschecks, halt) = check_aces_app(&app, EVAL_BUDGET);
         assert!(!case.failed(), "{:?}", case);
         assert!(crosschecks.iter().all(|x| x.ok), "{crosschecks:?}");
         assert_eq!(halt, None);
@@ -1052,14 +972,16 @@ mod tests {
     #[test]
     fn pinlock_lockstep_has_zero_divergences() {
         let app = opec_apps::programs::pinlock::app();
-        let (case, halt) = lockstep_opec(&Firmware::from(&app), FUEL, FleetBackend::Armv7m);
+        let (case, halt) =
+            lockstep(&Firmware::from(&app), System::Opec, FleetBackend::Armv7m, FUEL);
         assert_eq!(case.total, 0, "OPEC: {:?}", case.divergences);
         assert!(case.run_error.is_none(), "{:?}", case.run_error);
         assert!(case.checks > 0 && case.switches > 0);
         assert_eq!(halt, None);
-        let (case, _) = lockstep_aces(&app, FUEL);
+        let (case, _) = lockstep(&Firmware::from(&app), System::Aces, FleetBackend::Armv7m, FUEL);
         assert_eq!(case.total, 0, "ACES: {:?}", case.divergences);
-        let (case, _) = lockstep_opec(&Firmware::from(&generate(0)), FUEL, FleetBackend::Armv7m);
+        let spec = generate(0);
+        let (case, _) = lockstep(&Firmware::from(&spec), System::Opec, FleetBackend::Armv7m, FUEL);
         assert_eq!(case.total, 0, "gen[0]: {:?}", case.divergences);
     }
 
@@ -1069,7 +991,8 @@ mod tests {
         // the same instruction, compare equal, and the job surfaces the
         // truncation as FuelExhausted instead of diverging or hanging.
         let app = opec_apps::programs::pinlock::app();
-        let (case, halt) = lockstep_opec(&Firmware::from(&app), 10_000, FleetBackend::Armv7m);
+        let fw = Firmware::from(&app);
+        let (case, halt) = lockstep(&fw, System::Opec, FleetBackend::Armv7m, 10_000);
         assert_eq!(case.total, 0, "tight fuel: {:?}", case.divergences);
         assert_eq!(halt, Some(RunHalt::FuelExhausted));
     }

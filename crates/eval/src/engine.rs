@@ -4,13 +4,11 @@
 //! routes its per-job VM work through [`opec_campaign::run_campaign`];
 //! this module owns the translation from CLI flags to
 //! [`opec_campaign::CampaignOpts`] and the per-job resource bounds
-//! ([`RunLimits`]) that the job closures thread into `Vm::run` /
-//! `Vm::set_deadline`.
-
-use std::time::Instant;
+//! ([`job_budget`]) that the job closures hand to their runs.
 
 use opec_campaign::{CampaignOpts, CampaignReport, JobCtx, DEFAULT_TIMEOUT_SECS};
 use opec_obs::Obs;
+use opec_oracle::RunBudget;
 
 use crate::cli::CliArgs;
 use crate::runs::FUEL;
@@ -80,33 +78,9 @@ impl EngineOpts {
     }
 }
 
-/// The resource bounds one job attempt must thread into its VM(s).
-#[derive(Debug, Clone, Copy)]
-pub struct RunLimits {
-    /// Guest instruction budget for this attempt.
-    pub fuel: u64,
-    /// Wall-clock deadline to arm via `Vm::set_deadline`.
-    pub deadline: Option<Instant>,
-}
-
-impl RunLimits {
-    /// The historical unsupervised bounds: default fuel, no watchdog.
-    /// Used by the legacy non-campaign entry points.
-    pub fn unsupervised() -> RunLimits {
-        RunLimits { fuel: FUEL, deadline: None }
-    }
-
-    /// The bounds for one campaign job attempt.
-    pub fn from_ctx(ctx: &JobCtx) -> RunLimits {
-        RunLimits { fuel: ctx.fuel, deadline: ctx.deadline }
-    }
-
-    /// Caps a call-site-specific fuel budget (e.g. the attack matrix's
-    /// short-fuel cells) by the campaign-wide budget, so `--fuel N`
-    /// bounds every run even where a smaller default applies.
-    pub fn capped(&self, site_fuel: u64) -> u64 {
-        site_fuel.min(self.fuel)
-    }
+/// The resource bounds one job attempt must thread into its runs.
+pub fn job_budget(ctx: &JobCtx) -> RunBudget {
+    RunBudget { fuel: ctx.fuel, deadline: ctx.deadline }
 }
 
 /// Emits a campaign's supervision milestones into `obs` (post-run, on

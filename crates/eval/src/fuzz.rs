@@ -39,7 +39,9 @@
 //! wall-clock to first detection per mode and backend, plus a
 //! corpus-replay determinism check.
 
+use std::cell::RefCell;
 use std::path::Path;
+use std::rc::Rc;
 use std::time::Instant;
 
 use opec_campaign::{run_campaign, CampaignOpts, CampaignReport, Job, JobOutcome};
@@ -50,12 +52,28 @@ use opec_obs::json::{self, DecodeError, FromJson, Layout, ToJson, Value, Writer}
 use opec_obs::{OracleKind, OracleLayer};
 use opec_oracle::divergence::Observed;
 use opec_oracle::{
-    break_mpu_latent, generate, mutate_stacked, run_opec_cov, Corpus, CoverageMap, FirmwareSpec,
-    RunBudget, Verdict, LATENT_MIN_WINDOWS,
+    break_mpu_latent, generate, mutate_stacked, Corpus, CoverageMap, Firmware, FirmwareSpec,
+    RunBudget, RunRequest, System, Verdict, GEN_FUEL, LATENT_MIN_WINDOWS,
 };
 
-use crate::check::{backend_segment, gen_budget, job_result};
-use crate::engine::{EngineOpts, RunLimits};
+use crate::check::{backend_segment, job_result};
+use crate::engine::{job_budget, EngineOpts};
+
+/// The oracle's verdict on `spec` under OPEC on `sel` within `budget`,
+/// with the enforced policy tampered by `tamper`, and the coverage a
+/// [`CoverageMap`] sink folded from the run.
+fn covered(
+    spec: &FirmwareSpec,
+    tamper: Option<&dyn Fn(&mut SystemPolicy)>,
+    budget: RunBudget,
+    sel: FleetBackend,
+) -> Result<(Verdict, CoverageMap), String> {
+    let fw = Firmware::from(spec);
+    let cov = Rc::new(RefCell::new(CoverageMap::new()));
+    let request = RunRequest::new(&fw, System::Opec).on(sel.dyn_backend()).budget(budget);
+    let rec = request.tamper(tamper).oracle().sink(cov.clone()).run()?;
+    Ok((rec.verdict, cov.take()))
+}
 
 /// Default jobs per campaign round. Inputs for round *r + 1* are
 /// planned from the aggregate state after round *r*, so the round size
@@ -467,17 +485,16 @@ pub fn run_fuzz_with(
                     format!("fuzz/{seg}{}/r{round}/{i}", opts.mode.name()),
                     repro.finish(),
                     move |ctx| {
-                        let budget = gen_budget(&RunLimits::from_ctx(ctx));
-                        let (halt, payload) =
-                            match run_opec_cov(&spec, None, &budget, sel.dyn_backend()) {
-                                Ok((v, cov)) => (v.halt, JobPayload::new(&desc, &spec, &v, &cov)),
-                                // Mutants must always compile: a rejected plan
-                                // is a hard failure, not a skip.
-                                Err(e) => {
-                                    let v = Verdict { run_error: Some(e), ..Verdict::default() };
-                                    (None, JobPayload::new(&desc, &spec, &v, &CoverageMap::new()))
-                                }
-                            };
+                        let budget = job_budget(ctx).capped(GEN_FUEL);
+                        let (halt, payload) = match covered(&spec, None, budget, sel) {
+                            Ok((v, cov)) => (v.halt, JobPayload::new(&desc, &spec, &v, &cov)),
+                            // Mutants must always compile: a rejected plan
+                            // is a hard failure, not a skip.
+                            Err(e) => {
+                                let v = Verdict { run_error: Some(e), ..Verdict::default() };
+                                (None, JobPayload::new(&desc, &spec, &v, &CoverageMap::new()))
+                            }
+                        };
                         job_result(halt, json::to_string(&payload, Layout::Compact))
                     },
                 )
@@ -571,9 +588,7 @@ fn trial(mode: FuzzMode, sel: FleetBackend, opts: &BenchOptions, salt: u64) -> T
         for p in planned {
             executed += 1;
             let flash_base = p.spec.board().flash.base;
-            let Ok((v, cov)) =
-                run_opec_cov(&p.spec, Some(&tamper), &RunBudget::default(), sel.dyn_backend())
-            else {
+            let Ok((v, cov)) = covered(&p.spec, Some(&tamper), RunBudget::default(), sel) else {
                 continue;
             };
             if found_broken_mpu(&v, flash_base) {
@@ -609,7 +624,7 @@ fn median(xs: &mut [u64]) -> u64 {
 pub fn replay_digest(corpus: &Corpus, sel: FleetBackend) -> Result<u64, String> {
     let mut agg = CoverageMap::new();
     for e in &corpus.entries {
-        let (_, cov) = run_opec_cov(&e.spec, None, &RunBudget::default(), sel.dyn_backend())?;
+        let (_, cov) = covered(&e.spec, None, RunBudget::default(), sel)?;
         agg.merge(&cov);
     }
     Ok(agg.digest())
@@ -815,13 +830,8 @@ mod tests {
         let tamper = |p: &mut SystemPolicy| break_mpu_latent(p, LATENT_MIN_WINDOWS);
         for seed in 0..6 {
             let spec = generate(seed);
-            let (v, _) = run_opec_cov(
-                &spec,
-                Some(&tamper),
-                &RunBudget::default(),
-                FleetBackend::Armv7m.dyn_backend(),
-            )
-            .expect("pipeline");
+            let (v, _) = covered(&spec, Some(&tamper), RunBudget::default(), FleetBackend::Armv7m)
+                .expect("pipeline");
             assert!(v.clean(), "seed {seed} diverged under the latent tamper");
         }
     }

@@ -14,9 +14,9 @@
 //! switch costs.
 //!
 //! Collection fans cells across scoped threads exactly like
-//! [`crate::runs`]; the `Rc`-based [`Obs`] handle never crosses a
-//! thread (each cell builds, runs, and drains its recorder locally and
-//! sends plain data back).
+//! [`crate::runs`]; the `Rc`-based [`opec_obs::Obs`] handle never
+//! crosses a thread (each cell builds, runs, and drains its recorder
+//! locally and sends plain data back).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -25,15 +25,13 @@ use std::thread;
 use opec_aces::AcesStrategy;
 use opec_apps::programs::{aces_comparison_apps, all_apps};
 use opec_apps::App;
-use opec_core::Armv7mBackend;
 use opec_fleet::FleetBackend;
 use opec_obs::json::{self, Layout, ToJson, Writer};
-use opec_obs::{chrome_trace, Metrics, Obs, Recorder, Stamped};
-use opec_oracle::{Firmware, System};
-use opec_vm::{Supervisor, Vm};
+use opec_obs::{chrome_trace, Metrics, Recorder, Stamped};
+use opec_oracle::{Firmware, RunRequest, System};
 
 use crate::cli::CliArgs;
-use crate::runs::FUEL;
+use crate::runs::EVAL_BUDGET;
 use crate::table::TextTable;
 
 /// The ACES strategy the obs report instruments (the paper's default
@@ -86,53 +84,29 @@ fn recorder(args: &CliArgs) -> Rc<RefCell<Recorder>> {
     Rc::new(RefCell::new(if args.funcs { rec.with_funcs() } else { rec }))
 }
 
-/// Runs `vm` (with `rec` attached) to its workload's stop point, checks
-/// the outcome, and drains the recorder.
-fn finish<S: Supervisor>(
-    app: &App,
-    mut vm: Vm<S>,
-    rec: &Rc<RefCell<Recorder>>,
-    system: System,
-    backend: &'static str,
-) -> Result<ObsRun, String> {
-    let run = vm.run(FUEL).map_err(|e| format!("run: {e}"))?;
-    Firmware::from(app).check(&run, &mut vm.machine).map_err(|e| format!("check: {e}"))?;
+/// Runs `app` under `system` on `sel` with a recorder attached to its
+/// workload's stop point, checks the outcome, and drains the recorder.
+fn run_obs(app: &App, args: &CliArgs, system: System, sel: FleetBackend) -> Result<ObsRun, String> {
+    let fw = Firmware::from(app);
+    let rec = recorder(args);
+    let run = RunRequest::new(&fw, system)
+        .on(sel.dyn_backend())
+        .strategy(OBS_ACES_STRATEGY)
+        .budget(EVAL_BUDGET)
+        .sink(rec.clone())
+        .run()?;
+    run.verdict.finished().map_err(|e| format!("run: {e}"))?;
     let rec = rec.borrow();
     Ok(ObsRun {
         app: app.name,
         system: system.label(),
-        backend,
+        backend: sel.name(),
         cycles: run.cycles(),
         events: rec.ring.to_vec(),
         metrics: rec.metrics.clone(),
         events_total: rec.ring.total(),
         dropped: rec.ring.dropped(),
     })
-}
-
-fn run_opec_obs(app: &App, args: &CliArgs, sel: FleetBackend) -> Result<ObsRun, String> {
-    let fw = Firmware::from(app);
-    let build = fw.opec().map_err(|e| format!("compile: {e}"))?;
-    let backend = sel.dyn_backend();
-    let rec = recorder(args);
-    let vm = Vm::builder(fw.machine(&*backend), build.out.image.clone())
-        .supervisor(build.monitor(backend))
-        .obs(Obs::single(rec.clone()))
-        .build()
-        .map_err(|e| format!("image: {e}"))?;
-    finish(app, vm, &rec, System::Opec, sel.name())
-}
-
-fn run_aces_obs(app: &App, args: &CliArgs) -> Result<ObsRun, String> {
-    let fw = Firmware::from(app);
-    let build = fw.aces(OBS_ACES_STRATEGY).map_err(|e| format!("ACES build: {e}"))?;
-    let rec = recorder(args);
-    let vm = Vm::builder(fw.machine(&Armv7mBackend), build.out.image.clone())
-        .supervisor(build.runtime())
-        .obs(Obs::single(rec.clone()))
-        .build()
-        .map_err(|e| format!("image: {e}"))?;
-    finish(app, vm, &rec, System::Aces, "armv7m")
 }
 
 /// The backends the report instruments: both when `--backend` is
@@ -159,9 +133,11 @@ pub fn collect(args: &CliArgs) -> ObsReport {
                 let with_aces = aces_names.contains(&app.name) && aces_available;
                 let opec: Vec<_> = backends
                     .iter()
-                    .map(|&sel| (sel, s.spawn(move || run_opec_obs(app, args, sel))))
+                    .map(|&sel| (sel, s.spawn(move || run_obs(app, args, System::Opec, sel))))
                     .collect();
-                let aces = with_aces.then(|| s.spawn(move || run_aces_obs(app, args)));
+                let aces = with_aces.then(|| {
+                    s.spawn(move || run_obs(app, args, System::Aces, FleetBackend::Armv7m))
+                });
                 (app.name, aces_names.contains(&app.name), opec, aces)
             })
             .collect();

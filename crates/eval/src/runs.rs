@@ -23,12 +23,15 @@ use std::thread;
 use opec_aces::{AcesStrategy, Compartments, DataRegions};
 use opec_apps::App;
 use opec_armv7m::Board;
-use opec_core::{Armv7mBackend, CompileOutput, MonitorStats};
-use opec_oracle::Firmware;
-use opec_vm::{Obs, Supervisor, Trace, Vm};
+use opec_core::{CompileOutput, MonitorStats};
+use opec_oracle::{BuildOutput, Firmware, RunBudget, RunRecord, RunRequest, System};
+use opec_vm::Trace;
 
 /// Fuel for evaluation runs.
 pub const FUEL: u64 = opec_vm::exec::DEFAULT_FUEL;
+
+/// The budget of an evaluation run: [`FUEL`], no watchdog.
+pub const EVAL_BUDGET: RunBudget = RunBudget { fuel: FUEL, deadline: None };
 
 /// The three ACES strategies, in the paper's Table 2 order.
 pub const ACES_STRATEGIES: [AcesStrategy; 3] =
@@ -96,56 +99,48 @@ pub struct AppEval {
     pub aces: Vec<Arc<AcesRun>>,
 }
 
-/// Runs `vm` to its workload's stop point and checks the outcome;
-/// returns the cycles. `what` names the build in panic messages.
-fn run_to_halt<S: Supervisor>(fw: &Firmware<'_>, vm: &mut Vm<S>, what: &str) -> u64 {
-    let name = fw.name();
-    let run = vm.run(FUEL).unwrap_or_else(|e| panic!("{name} under {what}: {e}"));
-    fw.check(&run, &mut vm.machine).unwrap_or_else(|e| panic!("{name} under {what}: {e}"));
-    run.cycles()
+/// Runs `request` within [`EVAL_BUDGET`] to its workload's stop point and
+/// checks the outcome. `what` names the build in panic messages.
+fn run_to_halt(request: RunRequest<'_>, name: &str, what: &str) -> RunRecord {
+    let run = request.budget(EVAL_BUDGET).run();
+    run.and_then(|rec| rec.verdict.finished().map(|()| rec))
+        .unwrap_or_else(|e| panic!("{name} under {what}: {e}"))
 }
 
 /// Runs the vanilla baseline. Returns `(cycles, flash, sram)`.
 pub(crate) fn run_baseline(app: &App) -> (u64, u32, u32) {
     let fw = Firmware::from(app);
-    let image = fw.baseline().expect("baseline link");
-    let (flash, sram) = (image.flash_used, image.sram_used);
-    let mut vm = Vm::builder(fw.machine(&Armv7mBackend), image).build().expect("baseline vm");
-    (run_to_halt(&fw, &mut vm, "the baseline"), flash, sram)
+    let rec = run_to_halt(RunRequest::new(&fw, System::Baseline), app.name, "the baseline");
+    let BuildOutput::Baseline(flash, sram) = rec.build else { unreachable!("a baseline run") };
+    (rec.cycles(), flash, sram)
 }
 
 /// Runs the OPEC build with tracing.
 pub(crate) fn run_opec(app: &App) -> OpecRun {
     let fw = Firmware::from(app);
-    let build = fw.opec().unwrap_or_else(|e| panic!("{} compile: {e}", app.name));
     let trace = Rc::new(RefCell::new(Trace::new()));
-    let mut vm = Vm::builder(fw.machine(&Armv7mBackend), build.out.image.clone())
-        .supervisor(build.monitor(Arc::new(Armv7mBackend)))
-        .obs(Obs::single(trace.clone()))
-        .build()
-        .expect("opec vm");
-    let cycles = run_to_halt(&fw, &mut vm, "OPEC");
-    let trace = trace.borrow().clone();
+    let rec = run_to_halt(RunRequest::new(&fw, System::Opec).sink(trace.clone()), app.name, "OPEC");
+    let cycles = rec.cycles();
+    let (BuildOutput::Opec(compile), Some(monitor)) = (rec.build, rec.monitor) else {
+        unreachable!("an OPEC run")
+    };
     OpecRun {
         cycles,
-        flash_used: build.out.image.flash_used,
-        sram_used: build.out.image.sram_used,
-        compile: build.out,
-        trace,
-        monitor: vm.supervisor.stats,
+        flash_used: compile.image.flash_used,
+        sram_used: compile.image.sram_used,
+        compile,
+        trace: trace.take(),
+        monitor,
     }
 }
 
 /// Runs one ACES build.
-pub(crate) fn run_aces(app: &App, strategy: AcesStrategy) -> AcesRun {
+pub(crate) fn run_aces_strategy(app: &App, strategy: AcesStrategy) -> AcesRun {
     let fw = Firmware::from(app);
-    let build = fw.aces(strategy).unwrap_or_else(|e| panic!("{} ACES build: {e}", app.name));
-    let mut vm = Vm::builder(fw.machine(&Armv7mBackend), build.out.image.clone())
-        .supervisor(build.runtime())
-        .build()
-        .expect("aces vm");
-    let cycles = run_to_halt(&fw, &mut vm, strategy.label());
-    let out = build.out;
+    let request = RunRequest::new(&fw, System::Aces).strategy(strategy);
+    let rec = run_to_halt(request, app.name, strategy.label());
+    let cycles = rec.cycles();
+    let BuildOutput::Aces(out) = rec.build else { unreachable!("an ACES run") };
     AcesRun {
         strategy,
         cycles,
@@ -170,7 +165,7 @@ pub fn evaluate_app(app: &App, with_aces: bool) -> AppEval {
         let base = s.spawn(|| run_baseline(app));
         let opec = s.spawn(|| run_opec(app));
         let aces_handles: Vec<_> = if with_aces {
-            ACES_STRATEGIES.iter().map(|&st| s.spawn(move || run_aces(app, st))).collect()
+            ACES_STRATEGIES.iter().map(|&st| s.spawn(move || run_aces_strategy(app, st))).collect()
         } else {
             Vec::new()
         };
@@ -187,7 +182,7 @@ pub fn evaluate_app_sequential(app: &App, with_aces: bool) -> AppEval {
     let (base_cycles, base_flash, base_sram) = run_baseline(app);
     let opec = Arc::new(run_opec(app));
     let aces = if with_aces {
-        ACES_STRATEGIES.into_iter().map(|st| Arc::new(run_aces(app, st))).collect()
+        ACES_STRATEGIES.into_iter().map(|st| Arc::new(run_aces_strategy(app, st))).collect()
     } else {
         Vec::new()
     };

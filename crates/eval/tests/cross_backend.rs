@@ -16,7 +16,7 @@ use std::rc::Rc;
 use opec_apps::programs::all_apps;
 use opec_core::compile;
 use opec_eval::check::{check_opec_app, CaseResult};
-use opec_eval::engine::RunLimits;
+use opec_eval::runs::EVAL_BUDGET;
 use opec_fleet::FleetBackend;
 use opec_obs::{Event, Obs, Sink, Stamped};
 
@@ -32,11 +32,10 @@ fn verdict(case: &CaseResult) -> Result<(), String> {
 
 #[test]
 fn access_matrix_verdicts_agree_on_both_backends() {
-    let limits = RunLimits::unsupervised();
     for app in all_apps() {
         let mut verdicts = Vec::new();
         for sel in FleetBackend::ALL {
-            let (case, crosschecks, halt) = check_opec_app(&app, &limits, sel);
+            let (case, crosschecks, halt) = check_opec_app(&app, EVAL_BUDGET, sel);
             assert!(
                 halt.is_none(),
                 "{} on {}: run did not finish within budget ({halt:?})",

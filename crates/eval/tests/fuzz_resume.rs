@@ -5,20 +5,20 @@
 //! must end in exactly the state of an uninterrupted run: same corpus
 //! entries (byte-identical on disk), same aggregate coverage digest —
 //! resumed jobs replay their journaled payloads instead of re-running,
-//! and replayed coverage must not be double-counted or drift.
+//! and replayed coverage must not be double-counted or drift. The kill
+//! lands in the first round (32 jobs each) and, because the journal is
+//! reopened per round, in a later one too.
 
 use std::path::Path;
 use std::process::Command;
 
-const SEEDS: &str = "12";
-
-fn tmp(name: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("opec-fuzz-resume-{}-{name}", std::process::id()))
+fn tmp(seeds: &str, name: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("opec-fuzz-resume-{}-{seeds}-{name}", std::process::id()))
 }
 
-fn fuzz_cmd(corpus: &Path, journal: Option<&Path>, json: &Path) -> Command {
+fn fuzz_cmd(seeds: &str, corpus: &Path, journal: Option<&Path>, json: &Path) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_opec-eval"));
-    cmd.args(["fuzz", "--seeds", SEEDS, "--workers", "1"])
+    cmd.args(["fuzz", "--seeds", seeds, "--workers", "1"])
         .arg("--corpus")
         .arg(corpus)
         .arg("--json")
@@ -45,6 +45,21 @@ fn corpus_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
 
 #[test]
 fn killed_fuzz_campaign_resumes_to_the_uninterrupted_state() {
+    kill_and_resume("12", "5");
+}
+
+#[test]
+fn a_kill_in_a_later_round_resumes_to_the_uninterrupted_state() {
+    // Rounds 0 and 1 journal 64 records; the kill lands in round 2.
+    kill_and_resume("72", "66");
+}
+
+/// Runs `fuzz --seeds seeds` once uninterrupted and once killed after
+/// `kill_after` journal records and then resumed, and compares the two
+/// end states.
+fn kill_and_resume(seeds: &str, kill_after: &str) {
+    let tmp = |name| tmp(seeds, name);
+    let fuzz_cmd = |corpus, journal, json| fuzz_cmd(seeds, corpus, journal, json);
     let (control_dir, victim_dir) = (tmp("control"), tmp("victim"));
     let (control_json, victim_json) = (tmp("control.json"), tmp("victim.json"));
     let journal = tmp("journal.jsonl");
@@ -59,14 +74,17 @@ fn killed_fuzz_campaign_resumes_to_the_uninterrupted_state() {
     let status = fuzz_cmd(&control_dir, None, &control_json).status().expect("spawn opec-eval");
     assert!(status.success(), "control run failed: {status:?}");
 
-    // The victim: same campaign, journaled, killed after 5 journal
-    // appends (std::process::abort — no save, no cleanup).
+    // The victim: same campaign, journaled, killed once the journal
+    // holds `kill_after` records (std::process::abort — no save, no
+    // cleanup).
     let out = fuzz_cmd(&victim_dir, Some(&journal), &victim_json)
-        .env("OPEC_CAMPAIGN_KILL_AFTER", "5")
+        .env("OPEC_CAMPAIGN_KILL_AFTER", kill_after)
         .output()
         .expect("spawn opec-eval");
-    assert!(!out.status.success(), "kill_after=5 must abort the process");
-    assert!(journal.exists(), "the abort must leave the journal behind");
+    assert!(!out.status.success(), "kill_after={kill_after} must abort the process");
+    let journaled = std::fs::read_to_string(&journal).expect("the abort must leave the journal");
+    // The header line, then exactly the records up to the kill point.
+    assert_eq!(journaled.lines().count() - 1, kill_after.parse().unwrap(), "kill point");
     // The report file is opened up front but only written at the end —
     // the killed run must never have gotten there.
     assert_eq!(

@@ -8,9 +8,9 @@
 //! [`Firmware::aces`] are the three builds. Each product derives what
 //! its VM needs: [`OpecBuild::monitor`] and [`OpecBuild::matrix`] for a
 //! given backend, [`AcesBuild::runtime`] and [`AcesBuild::matrix`] for
-//! the compartments it was built with. A run is then
-//! `Vm::builder(fw.machine(backend), image).supervisor(..)`, so the
-//! VM keeps its supervisor in its type.
+//! the compartments it was built with. A run of one build is a
+//! [`RunRequest`](crate::RunRequest), which sets up the machine, the
+//! supervisor and the oracle from these pieces.
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -195,9 +195,7 @@ impl AcesBuild {
 mod tests {
     use super::*;
     use crate::gen::generate;
-    use crate::run::{run_end, RunHalt};
     use opec_core::Armv7mBackend;
-    use opec_vm::{Vm, VmError};
 
     #[test]
     fn an_app_must_halt_and_pass_its_check_a_generated_plan_need_not() {
@@ -215,27 +213,5 @@ mod tests {
         // A machine that never ran has served none of the scripted input.
         let err = app.check(&halted, &mut m).unwrap_err();
         assert!(err.starts_with("workload check: "), "{err}");
-    }
-
-    #[test]
-    fn run_end_reports_budget_stops_as_halts_not_errors() {
-        let spec = generate(0);
-        let fw = Firmware::from(&spec);
-        let build = fw.opec().expect("compile");
-        let mut vm = Vm::builder(fw.machine(&Armv7mBackend), build.out.image.clone())
-            .supervisor(build.monitor(Arc::new(Armv7mBackend)))
-            .build()
-            .expect("vm");
-        let mut halt = |err| run_end(&fw, &mut vm, Err(err));
-        assert_eq!(halt(VmError::OutOfFuel), (Some(RunHalt::FuelExhausted), None));
-        assert_eq!(halt(VmError::TimedOut), (Some(RunHalt::TimedOut), None));
-        let result = vm.run(crate::GEN_FUEL);
-        assert_eq!(run_end(&fw, &mut vm, result), (None, None));
-        // The worst halt of several runs is their maximum, and a halt
-        // renders as the VM error it stands for.
-        assert!(None < Some(RunHalt::FuelExhausted));
-        assert!(RunHalt::FuelExhausted < RunHalt::TimedOut);
-        assert_eq!(RunHalt::FuelExhausted.to_string(), VmError::OutOfFuel.to_string());
-        assert_eq!(RunHalt::TimedOut.to_string(), VmError::TimedOut.to_string());
     }
 }

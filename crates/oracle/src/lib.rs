@@ -53,8 +53,7 @@ pub use gen::{generate, FirmwareSpec};
 pub use matrix::{AccessMatrix, Expect};
 pub use mutate::{mutate, mutate_stacked, periph_owners, well_formed, Mutator, ALL_MUTATORS};
 pub use run::{
-    run_aces, run_aces_with, run_end, run_opec, run_opec_cov, run_opec_on, run_opec_with,
-    RunBudget, RunHalt, Verdict, GEN_FUEL,
+    run_opec_on, BuildOutput, RunBudget, RunHalt, RunRecord, RunRequest, Verdict, GEN_FUEL,
 };
 pub use shadow::{shadow, OracleHandle, OracleState, ShadowOracle};
 pub use shrink::{describe, shrink};

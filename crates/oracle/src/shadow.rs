@@ -80,7 +80,6 @@ impl OracleState {
 
 /// Shared handle to the oracle's state, usable after the VM (which owns
 /// the watcher box) has been dropped.
-#[derive(Clone)]
 pub struct OracleHandle(Rc<RefCell<OracleState>>);
 
 impl OracleHandle {
@@ -88,25 +87,21 @@ impl OracleHandle {
     pub fn take(&self) -> OracleState {
         self.0.replace(OracleState::default())
     }
-
-    /// Divergences observed so far.
-    pub fn total_divergences(&self) -> u64 {
-        self.0.borrow().total_divergences
-    }
 }
 
 /// The watcher. Construct with [`shadow`].
 pub struct ShadowOracle {
-    matrix: AccessMatrix,
+    matrix: Rc<AccessMatrix>,
     state: Rc<RefCell<OracleState>>,
     obs: Obs,
 }
 
 /// Builds a shadow oracle over `matrix`, returning the boxed watcher
 /// (for [`opec_vm::VmBuilder::watcher`]) and a handle to read the
-/// verdicts afterwards. Matrix build-time anomalies are surfaced
+/// verdicts afterwards. The matrix is shared, so the caller can keep
+/// it once the VM is gone. Matrix build-time anomalies are surfaced
 /// immediately as analysis-layer divergences.
-pub fn shadow(matrix: AccessMatrix, obs: Obs) -> (Box<ShadowOracle>, OracleHandle) {
+pub fn shadow(matrix: Rc<AccessMatrix>, obs: Obs) -> (Box<ShadowOracle>, OracleHandle) {
     let mut st = OracleState::default();
     for a in &matrix.anomalies {
         st.record(

@@ -10,13 +10,34 @@
 
 use proptest::prelude::*;
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use opec_core::backend::Armv7mBackend;
-use opec_oracle::{generate, mutate, run_opec_cov, Corpus, CoverageMap, RunBudget};
+use opec_core::backend::{Armv7mBackend, Backend};
+use opec_oracle::{
+    generate, mutate, Corpus, CoverageMap, Firmware, FirmwareSpec, RunRequest, System, Verdict,
+};
+use opec_pmp::Rv32PmpBackend;
 
 static CASE: AtomicU32 = AtomicU32::new(0);
+
+/// The oracle's verdict on `spec` under OPEC on `backend`, with the
+/// coverage a [`CoverageMap`] sink folded from the run.
+fn covered(
+    spec: &FirmwareSpec,
+    backend: Arc<dyn Backend>,
+) -> Result<(Verdict, CoverageMap), String> {
+    let fw = Firmware::from(spec);
+    let cov = Rc::new(RefCell::new(CoverageMap::new()));
+    let rec = RunRequest::new(&fw, System::Opec).on(backend).oracle().sink(cov.clone()).run()?;
+    Ok((rec.verdict, cov.take()))
+}
+
+fn backends() -> [Arc<dyn Backend>; 2] {
+    [Arc::new(Armv7mBackend), Arc::new(Rv32PmpBackend)]
+}
 
 fn tmp_corpus_dir() -> std::path::PathBuf {
     let n = CASE.fetch_add(1, Ordering::Relaxed);
@@ -81,15 +102,13 @@ proptest! {
         gen_seed in 0u64..256,
         mut_seed in any::<u64>(),
     ) {
-        let budget = RunBudget::default();
         let mut corpus = Corpus::in_memory();
         for (i, spec) in [generate(gen_seed), generate(gen_seed + 1)]
             .into_iter()
             .flat_map(|s| [mutate(&s, mut_seed), s])
             .enumerate()
         {
-            let (v, cov) = run_opec_cov(&spec, None, &budget, Arc::new(Armv7mBackend))
-                .map_err(TestCaseError::fail)?;
+            let (v, cov) = covered(&spec, Arc::new(Armv7mBackend)).map_err(TestCaseError::fail)?;
             prop_assert!(v.clean(), "input {i}: {:?}", v.divergences);
             corpus.admit(spec, cov);
         }
@@ -108,8 +127,7 @@ proptest! {
 
         let mut replayed = CoverageMap::new();
         for e in &loaded.entries {
-            let (_, cov) = run_opec_cov(&e.spec, None, &budget, Arc::new(Armv7mBackend))
-                .map_err(TestCaseError::fail)?;
+            let (_, cov) = covered(&e.spec, Arc::new(Armv7mBackend)).map_err(TestCaseError::fail)?;
             replayed.merge(&cov);
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -117,4 +135,48 @@ proptest! {
             "replay must reproduce the admitted aggregate byte-for-byte");
         prop_assert_eq!(replayed, corpus.aggregate);
     }
+
+    /// A coverage sink only observes: on both backends a request with
+    /// one reaches the verdict a request without one reaches.
+    #[test]
+    fn a_coverage_sink_does_not_change_the_verdict(
+        gen_seed in 0u64..512,
+        mut_seed in any::<u64>(),
+    ) {
+        let spec = mutate(&generate(gen_seed), mut_seed);
+        let fw = Firmware::from(&spec);
+        for backend in backends() {
+            let bare = RunRequest::new(&fw, System::Opec).on(Arc::clone(&backend)).oracle().run()
+                .map_err(TestCaseError::fail)?;
+            let (v, cov) = covered(&spec, backend).map_err(TestCaseError::fail)?;
+            prop_assert_eq!(format!("{:?}", bare.verdict), format!("{v:?}"));
+            prop_assert!(!cov.is_empty());
+        }
+    }
+}
+
+/// The maps the sink folds are the maps the fuzzer has always stored:
+/// the aggregate over 32 fresh plans is pinned to its value from before
+/// coverage became a request sink, on both backends.
+#[test]
+fn coverage_of_fresh_plans_is_pinned() {
+    for backend in backends() {
+        let mut agg = CoverageMap::new();
+        for seed in 0..32 {
+            let (v, cov) = covered(&generate(seed), Arc::clone(&backend)).expect("pipeline");
+            assert!(v.clean(), "{} seed {seed}: {:?}", backend.name(), v.divergences);
+            agg.merge(&cov);
+        }
+        assert_eq!(agg.digest(), 0xee2e_3c03_d8e9_eef9, "{}", backend.name());
+    }
+}
+
+/// ACES exists on the ARMv7-M MPU only: asking for it on the PMP is an
+/// error, not a panic.
+#[test]
+fn aces_on_the_pmp_is_refused() {
+    let spec = generate(0);
+    let fw = Firmware::from(&spec);
+    let run = RunRequest::new(&fw, System::Aces).on(Arc::new(Rv32PmpBackend)).oracle().run();
+    assert_eq!(run.err().as_deref(), Some("ACES targets the ARMv7-M MPU, not rv32-pmp"));
 }

@@ -13,8 +13,15 @@ use proptest::prelude::*;
 
 use opec_inject::SplitMix64;
 use opec_oracle::{
-    generate, mutate, mutate_stacked, run_opec, well_formed, FirmwareSpec, ALL_MUTATORS,
+    generate, mutate, mutate_stacked, well_formed, Firmware, FirmwareSpec, RunRequest, System,
+    Verdict, ALL_MUTATORS,
 };
+
+/// The oracle's verdict on `spec` under OPEC on ARMv7-M.
+fn opec_verdict(spec: &FirmwareSpec) -> Result<Verdict, String> {
+    let fw = Firmware::from(spec);
+    RunRequest::new(&fw, System::Opec).oracle().run().map(|r| r.verdict)
+}
 
 /// Applies one specific catalog mutator (by index) with a seeded PRNG.
 /// Returns the mutant and whether the mutator found an application
@@ -48,7 +55,7 @@ proptest! {
         well_formed(&mutant)
             .map_err(|e| TestCaseError::fail(format!("{:?} broke invariants: {e}",
                 ALL_MUTATORS[which])))?;
-        let v = run_opec(&mutant, None)
+        let v = opec_verdict(&mutant)
             .map_err(|e| TestCaseError::fail(format!("{:?} mutant failed the pipeline: {e}",
                 ALL_MUTATORS[which])))?;
         prop_assert!(v.clean(),
@@ -67,7 +74,7 @@ proptest! {
     ) {
         let mutant = mutate_stacked(&generate(gen_seed), mut_seed, steps);
         well_formed(&mutant).map_err(TestCaseError::fail)?;
-        let v = run_opec(&mutant, None).map_err(TestCaseError::fail)?;
+        let v = opec_verdict(&mutant).map_err(TestCaseError::fail)?;
         prop_assert!(v.clean(), "{:?}", v.divergences);
     }
 

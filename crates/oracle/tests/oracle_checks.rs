@@ -2,15 +2,29 @@
 //! under the real enforcement stacks, and a deliberately broken MPU
 //! configuration is caught and shrunk to a minimal counterexample.
 
+use opec_core::SystemPolicy;
 use opec_obs::{OracleKind, OracleLayer};
 use opec_oracle::divergence::Observed;
-use opec_oracle::{break_mpu, generate, run_aces, run_opec, shrink, FirmwareSpec};
+use opec_oracle::{
+    break_mpu, generate, shrink, Firmware, FirmwareSpec, RunRequest, System, Verdict,
+};
+
+/// The oracle's verdict on `spec` under `system` on ARMv7-M, with the
+/// enforced policy tampered by `tamper`.
+fn verdict(
+    spec: &FirmwareSpec,
+    system: System,
+    tamper: Option<&dyn Fn(&mut SystemPolicy)>,
+) -> Result<Verdict, String> {
+    let fw = Firmware::from(spec);
+    RunRequest::new(&fw, system).tamper(tamper).oracle().run().map(|r| r.verdict)
+}
 
 #[test]
 fn generated_firmwares_are_divergence_free_under_opec() {
     for seed in 0..12 {
         let spec = generate(seed);
-        let v = run_opec(&spec, None).expect("pipeline");
+        let v = verdict(&spec, System::Opec, None).expect("pipeline");
         assert!(
             v.divergences.is_empty(),
             "seed {seed}: {} divergences, first: {}",
@@ -27,7 +41,7 @@ fn generated_firmwares_are_divergence_free_under_aces() {
     let mut ran = 0;
     for seed in 0..12 {
         let spec = generate(seed);
-        let v = match run_aces(&spec) {
+        let v = match verdict(&spec, System::Aces, None) {
             Ok(v) => v,
             // Some plans exceed ACES group limits; that is an ACES
             // scalability property, not an oracle divergence.
@@ -60,7 +74,7 @@ fn broken_mpu_config_is_caught_and_shrinks_to_minimal_program() {
     let spec = generate(seed);
     let flash_base = spec.board().flash.base;
     let diverges = |s: &FirmwareSpec| {
-        run_opec(s, Some(&break_mpu)).is_ok_and(|v| {
+        verdict(s, System::Opec, Some(&break_mpu)).is_ok_and(|v| {
             v.divergences.iter().any(|d| {
                 d.kind == OracleKind::Escape
                     && d.layer == OracleLayer::Mpu
@@ -71,7 +85,7 @@ fn broken_mpu_config_is_caught_and_shrinks_to_minimal_program() {
     };
     assert!(diverges(&spec), "the oracle missed a writable-flash MPU region");
     // Sanity: the untampered policy is clean.
-    let clean = run_opec(&spec, None).expect("pipeline");
+    let clean = verdict(&spec, System::Opec, None).expect("pipeline");
     assert!(clean.divergences.is_empty(), "clean run diverged: {}", clean.divergences[0]);
 
     let small = shrink(&spec, diverges, 300);
